@@ -11,8 +11,6 @@ from .core import LpVector
 
 Mat = tuple[tuple[float, float], tuple[float, float]]
 
-IDENTITY: Mat = ((1.0, 0.0), (0.0, 1.0))
-
 
 def mat_vec(S: Mat, v: tuple[float, float]) -> tuple[float, float]:
     return (

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from . import canonical as cn
-from .core import LpVector, _rotated_dual_coords, as_exponent, lp_norm
+from .core import LpVector, _golden_min, _rotated_dual_coords, as_exponent, lp_norm
 from .opnorm import NormCertificate, Operator2x2, apply, op_norm, sphere_point
 from .segment import extremal_scale, limit_scale, pinned_operator
 
@@ -192,8 +192,6 @@ def _decompose(can: CanonicalForm) -> tuple[LpVector, LpVector, float]:
 
     def rho(theta: float) -> float:
         return _pinned_fit(T, theta)[3]
-
-    from .segment import _golden_min
 
     theta_best, res_best = _golden_min(
         rho, max(0.0, theta0 - half), theta0 + half, 1e-14
@@ -388,7 +386,6 @@ def _band_family_match(Tc: Operator2x2, x_est: LpVector) -> bool:
     image, positive limit scale) to Tc by minimizing the entrywise gap over
     the mass parameter."""
     from .inequality import solve_matched_pair
-    from .segment import _golden_min
 
     p = Tc.domain.value
     q = Tc.codomain.value

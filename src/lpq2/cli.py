@@ -169,7 +169,11 @@ def emit(report, cfg: RunConfig, rows: list[dict] | None = None) -> None:
     else:
         text = render_json(report) + "\n"
     if cfg.output_path in ("-", ""):
-        click.echo(text, nl=False)
+        # Not click.echo: click caches every stream it has written to, keyed
+        # weakly on the stream but holding it strongly, so each redirected
+        # in-process buffer would stay alive.
+        sys.stdout.write(text)
+        sys.stdout.flush()
     else:
         with open(cfg.output_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

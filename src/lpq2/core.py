@@ -19,6 +19,8 @@ EXPONENT_MAX = 64.0
 
 _TWO_TOL = 1e-12
 
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
 
 class RInfinity:
     """Distinguished tag for the infinite curve parameter.
@@ -39,6 +41,33 @@ class RInfinity:
 
 
 R_INFINITY = RInfinity()
+
+
+def _golden_min(f, a: float, b: float, tol: float) -> tuple[float, float]:
+    """Golden-section minimum of f on [a, b], as (argument, value).
+
+    Derivative-free on purpose: the objectives (norms over the sphere,
+    tightness scales, fit residuals) are not twice differentiable at axis
+    crossings. Maximise f by minimising -f and negating the value.
+    """
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    best_x, best_f = (c, fc) if fc <= fd else (d, fd)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(c)
+            if fc < best_f:
+                best_x, best_f = c, fc
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = f(d)
+            if fd < best_f:
+                best_x, best_f = d, fd
+    return best_x, best_f
 
 
 def is_infinite_param(r) -> bool:

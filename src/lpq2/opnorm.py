@@ -16,14 +16,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Exponent, LpVector, as_exponent, lp_norm, sign
+from .core import Exponent, LpVector, _golden_min, lp_norm, sign
 
 DEFAULT_SCAN = 4096
 DEFAULT_TOL_ATTAIN = 1e-9
 DEFAULT_DEDUPE = 1e-7
 INDEPENDENT_DET_TOL = 1e-8
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -46,19 +44,11 @@ class Operator2x2:
         if not isinstance(self.codomain, Exponent):
             object.__setattr__(self, "codomain", Exponent(float(self.codomain)))
 
-    @classmethod
-    def from_rows(cls, rows, domain, codomain) -> "Operator2x2":
-        (a, b), (c, d) = rows
-        return cls(a, b, c, d, as_exponent(domain), as_exponent(codomain))
-
     def entries(self) -> tuple[float, float, float, float]:
         return (self.a11, self.a12, self.a21, self.a22)
 
     def as_matrix(self) -> np.ndarray:
         return np.array([[self.a11, self.a12], [self.a21, self.a22]])
-
-    def frobenius(self) -> float:
-        return math.sqrt(self.a11 ** 2 + self.a12 ** 2 + self.a21 ** 2 + self.a22 ** 2)
 
     def _same_spaces(self, other: "Operator2x2") -> None:
         if (
@@ -183,29 +173,6 @@ def _value_at(T: Operator2x2, theta: float) -> float:
     return lp_norm(w1, w2, T.codomain)
 
 
-def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximum of f on [a, b]; derivative-free on purpose,
-    the objective is not twice differentiable at axis crossings."""
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    best_x, best_f = (c, fc) if fc >= fd else (d, fd)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-            if fc > best_f:
-                best_x, best_f = c, fc
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-            if fd > best_f:
-                best_x, best_f = d, fd
-    return best_x, best_f
-
-
 def _canonical_maximizer(theta: float, p: Exponent) -> LpVector:
     v1, v2 = sphere_point(theta, p)
     if v1 < 0.0 or (v1 == 0.0 and v2 < 0.0):
@@ -242,7 +209,8 @@ def norm_value(T: Operator2x2, scan: int = 1024) -> float:
         hi = _theta_at(thetas, i1 + 1, n)
         if hi <= lo:
             continue
-        _, fv = _golden_max(lambda t: _value_at(T, t), lo, hi, 1e-8)
+        _, neg = _golden_min(lambda t: -_value_at(T, t), lo, hi, 1e-8)
+        fv = -neg
         if fv > best:
             best = fv
     return best
@@ -296,7 +264,7 @@ def op_norm(
     thresh = gmax - max(1e-5 * gmax, 10.0 * tol_attain)
     idx = np.nonzero(vals >= thresh)[0]
     candidates: list[tuple[float, float]] = []
-    f = lambda t: _value_at(T, t)
+    neg_f = lambda t: -_value_at(T, t)
     for i0, i1 in _contiguous_runs(idx, n):
         # Refine each grid-local maximum inside the run (a run can straddle
         # two peaks separated by a shallow dip).
@@ -314,8 +282,8 @@ def op_norm(
             hi = _theta_at(thetas, i + 1, n)
             if hi <= lo:
                 continue
-            th, fv = _golden_max(f, lo, hi, refine_tol)
-            candidates.append((th % math.pi, fv))
+            th, neg = _golden_min(neg_f, lo, hi, refine_tol)
+            candidates.append((th % math.pi, -neg))
 
     if not candidates:
         candidates = [(float(thetas[int(np.argmax(vals))]), gmax)]

@@ -23,12 +23,11 @@ from .core import (
     duality_map,
     is_infinite_param,
     lp_norm,
+    _golden_min,
     _require_unit,
     _rotated_dual_coords,
 )
 from .opnorm import Operator2x2
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 DEFAULT_R_MIN = 1e-6
 DEFAULT_R_MAX = 1e6
@@ -113,9 +112,11 @@ def _pow_offset(c: float, delta: np.ndarray, p: float) -> np.ndarray:
     u = delta / c
     small = np.abs(u) <= 0.5
     cp = c ** p
-    via_log = cp * np.expm1(p * np.log1p(np.where(small, u, 0.0)))
-    direct = np.abs(c + delta) ** p - cp
-    return np.where(small, via_log, direct)
+    out = np.empty_like(u)
+    out[small] = cp * np.expm1(p * np.log1p(u[small]))
+    large = ~small
+    out[large] = np.abs(c + delta[large]) ** p - cp
+    return out
 
 
 def _curve_offset(v: LpVector, t: np.ndarray, power: float) -> np.ndarray:
@@ -147,8 +148,22 @@ def _tight_scale_many(
     itself; near r = 0 both sides are O(r^2) and the direct formulation would
     drown in the ulps of values near 1.
     """
+    return _tight_scales(x, y, rs, sign, prune=False)[1]
+
+
+def _tight_scales(
+    x: LpVector, y: LpVector, rs: np.ndarray, sign: int, prune: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The root solve of _tight_scale_many, returning (indices, scales).
+
+    With prune=False every index of rs is returned. With prune=True the
+    bisection drops, after each halving, the points whose |s| can no longer
+    be the smallest (see _extremal_canonical); the scales of the points it
+    keeps are bit-identical to the unpruned ones.
+    """
     rs = _safe_r(np.asarray(rs, dtype=float), x.exponent.value, y.exponent.value)
     q = y.exponent.value
+    idx = np.arange(rs.size)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         target = _curve_offset(x, rs, power=q)
         tsign = float(sign) * np.sign(rs)
@@ -164,6 +179,7 @@ def _tight_scale_many(
                 break
             hi = np.where(need, hi * 2.0, hi)
         lo = np.zeros_like(hi)
+        abs_r = np.abs(rs)
         # 54 halvings reach ~1e-16 relative width; endpoints are then polished
         # by the scalar golden refinement where it matters.
         for _ in range(54):
@@ -172,18 +188,25 @@ def _tight_scale_many(
             lower = f < target
             lo = np.where(lower, mid, lo)
             hi = np.where(lower, hi, mid)
+            if prune:
+                # fmin skips NaN, and a NaN lower bound compares False.
+                keep = ~(lo / abs_r > np.fmin.reduce(hi / abs_r))
+                if not keep.all():
+                    idx, rs, abs_r, target, tsign, lo, hi = (
+                        a[keep] for a in (idx, rs, abs_r, target, tsign, lo, hi)
+                    )
         t = tsign * 0.5 * (lo + hi)
-        return t / rs
+        return idx, t / rs
 
 
 def _pow_offset_s(c: float, delta: float, p: float) -> float:
     if c < 0.0:
         c, delta = -c, -delta
-    if c == 0.0:
-        return abs(delta) ** p
-    u = delta / c
-    if -0.5 <= u <= 0.5:
-        return c ** p * math.expm1(p * math.log1p(u))
+    if c != 0.0:
+        u = delta / c
+        if -0.5 <= u <= 0.5:
+            return c ** p * math.expm1(p * math.log1p(u))
+    # At c = 0 the direct form is |delta|^p, which can overflow too.
     try:
         return abs(c + delta) ** p - c ** p
     except OverflowError:
@@ -213,6 +236,9 @@ def _tight_scale_scalar(x: LpVector, y: LpVector, r: float, sign: int) -> float:
     lo = 0.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            # Float fixed point: every later step leaves 0.5 * (lo + hi) = mid.
+            break
         if off_y(tsign * mid) < target:
             lo = mid
         else:
@@ -343,6 +369,17 @@ def _lexi_best(abs_s: np.ndarray, abs_r: np.ndarray) -> int:
     return int(order[0])
 
 
+def _grid_argmin(
+    x: LpVector, y: LpVector, rs: np.ndarray, sign: int
+) -> tuple[int, float]:
+    """(k, |s_k|) for the grid point k that _lexi_best picks from the
+    tightness scales at rs, computed with the pruned bisection."""
+    kept, s_kept = _tight_scales(x, y, rs, sign, prune=True)
+    abs_kept = np.abs(s_kept)
+    j = _lexi_best(abs_kept, np.abs(rs[kept]))
+    return int(kept[j]), float(abs_kept[j])
+
+
 def _extremal_canonical(
     x: LpVector,
     y: LpVector,
@@ -353,19 +390,24 @@ def _extremal_canonical(
 ) -> ScaleResult:
     """Extremal scale for a canonical pair: minimize |tight_scale| over the
     logarithmic r-grid (both signs of r), the infinite parameter, and the
-    small-r limit."""
+    small-r limit.
+
+    The grid bisection only follows the points that can still be the
+    minimum. After each halving a point's bracket [lo, hi] holds every later
+    bracket, and rounding of the midpoint and of the division by |r| is
+    monotone, so its final |s| lies in [lo/|r|, hi/|r|]. A point whose
+    lo/|r| exceeds the smallest hi/|r| in play therefore ends strictly above
+    some other point's |s|: it can neither win nor tie, and dropping it
+    leaves the grid winner, ties included, as _lexi_best picks it from all
+    of _tight_scale_many's values.
+    """
     decades = math.log10(r_max) - math.log10(r_min)
     n = max(int(round(per_decade * decades)) + 1, 16)
     grid = np.logspace(math.log10(r_min), math.log10(r_max), n)
     signed = np.concatenate([grid, -grid])
-    s_all = _tight_scale_many(x, y, signed, sign)
-
-    abs_all = np.abs(s_all)
-    r_all = np.abs(signed)
-    k = _lexi_best(abs_all, r_all)
+    k, best_abs = _grid_argmin(x, y, signed, sign)
     neg_side = k >= n
     ki = k - n if neg_side else k
-    best_abs = float(abs_all[k])
     r_sign = -1.0 if neg_side else 1.0
 
     witness: float | RInfinity | None = r_sign * float(grid[ki])
@@ -391,27 +433,6 @@ def _extremal_canonical(
         # The infimum is only approached as r -> 0; report the limit itself.
         return ScaleResult(float(sign) * lim, None)
     return ScaleResult(float(sign) * best_abs, witness)
-
-
-def _golden_min(f, a: float, b: float, tol: float) -> tuple[float, float]:
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    best_x, best_f = (c, fc) if fc <= fd else (d, fd)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-            if fc < best_f:
-                best_x, best_f = c, fc
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-            if fd < best_f:
-                best_x, best_f = d, fd
-    return best_x, best_f
 
 
 def extremal_scale(

@@ -1,4 +1,8 @@
+import contextlib
+import gc
+import io
 import json
+import weakref
 
 import pytest
 from click.testing import CliRunner
@@ -190,6 +194,26 @@ class TestCommands:
         monkeypatch.setenv("CLAB_SPHERE_SCAN", "8")
         res = runner.invoke(main, ["norm", "--p", "2", "--q", "2", "--m", "1,0,0,1"])
         assert res.exit_code == 2  # grid below the floor is a usage error
+
+
+class TestInProcess:
+    def test_stdout_buffers_are_released(self):
+        # Repeated in-process invocations must not keep the stdout buffer of
+        # each one alive after the caller drops it.
+        refs = []
+        for _ in range(3):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                main.main(
+                    args=["norm", "--p", "2", "--q", "2", "--m", "1,0,0,1"],
+                    prog_name="lpq2",
+                    standalone_mode=False,
+                )
+            assert json.loads(buf.getvalue())["norm"] == pytest.approx(1.0, abs=1e-9)
+            refs.append(weakref.ref(buf))
+            del buf
+        gc.collect()
+        assert [r() for r in refs] == [None, None, None]
 
 
 class TestDeterminism:

@@ -3,10 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from lpq2.canonical import canonical_pair
 from lpq2.core import LpVector, R_INFINITY, RInfinity, curve_norm_power, curve_through
 from lpq2.opnorm import Operator2x2, apply, is_contraction, norm_value
 from lpq2.segment import (
+    DEFAULT_PER_DECADE,
+    DEFAULT_R_MAX,
+    DEFAULT_R_MIN,
+    _grid_argmin,
+    _lexi_best,
     _limit_numeric,
+    _tight_scale_many,
     extremal_scale,
     limit_scale,
     pinned_operator,
@@ -14,6 +21,8 @@ from lpq2.segment import (
     scale_at_infinity,
     tight_scale,
 )
+
+from oracles import diag_norm_closed
 
 
 def e1(p):
@@ -137,6 +146,20 @@ class TestExtremalScale:
         T1 = pinned_operator(e1(1.5), e1(3), 1.0)
         assert T1.max_entry_diff(Operator2x2(1, 0, 0, 1, 1.5, 3)) <= 1e-12
 
+    def test_axis_pair_top_of_range(self):
+        # e1 -> e1 into l^64: diag(1, s) has norm max(1, |s|), so the
+        # endpoints are +-1, attained only at the infinite parameter.
+        for p in (1.05, 1.2, 1.5, 2.0, 3.0):
+            seg = pinned_segment(e1(p), e1(64))
+            assert seg.endpoint_plus == pytest.approx(1.0, abs=1e-12)
+            assert seg.endpoint_minus == pytest.approx(-1.0, abs=1e-12)
+            assert isinstance(seg.witness_plus, RInfinity)
+            assert isinstance(seg.witness_minus, RInfinity)
+            for s in (seg.endpoint_plus, seg.endpoint_minus):
+                T = pinned_operator(e1(p), e1(64), s)
+                assert (T.a12, T.a21) == (0.0, 0.0)
+                assert diag_norm_closed(T.a11, T.a22, p, 64) == pytest.approx(1.0, abs=1e-12)
+
     def test_non_canonical_orientation(self):
         # Mirrored pairs must map back coherently to the input orientation.
         x = LpVector(1.0, 0.0, 2)
@@ -145,6 +168,46 @@ class TestExtremalScale:
         assert extremal_scale(x, y, -1).value == pytest.approx(-1.0, abs=1e-8)
         T = pinned_operator(x, y, extremal_scale(x, y, 1).value)
         assert norm_value(T) == pytest.approx(1.0, abs=1e-9)
+
+
+# One or two exponent pairs in each of the ten regions, with both range edges.
+REGION_PAIRS = (
+    (2.0, 2.0),
+    (2.0, 1.5), (2.0, 6.0),
+    (3.0, 2.0), (1.2, 2.0),
+    (3.0, 3.0), (1.05, 1.05),
+    (6.0, 1.5), (64.0, 1.2),
+    (1.2, 1.5),
+    (1.5, 1.05),
+    (3.0, 6.0),
+    (64.0, 3.0),
+    (1.5, 3.0), (1.05, 64.0),
+)
+
+
+class TestGridArgmin:
+    def test_pruned_matches_full_bisection(self):
+        # The pruned bisection must pick the same grid point, with the same
+        # |s| to the bit, as _lexi_best over every unpruned tightness scale.
+        rng = np.random.default_rng(11)
+        n = int(round(DEFAULT_PER_DECADE * math.log10(DEFAULT_R_MAX / DEFAULT_R_MIN))) + 1
+        grid = np.logspace(math.log10(DEFAULT_R_MIN), math.log10(DEFAULT_R_MAX), n)
+        signed = np.concatenate([grid, -grid])
+        for p, q in REGION_PAIRS:
+            near = 1.0 - 1e-9
+            masses = [
+                (1.0, 1.0),
+                (0.5, 0.5),
+                (near, float(rng.uniform(0.5, 1.0))),
+                (float(rng.uniform(0.5, 1.0)), near),
+                (float(rng.uniform(0.5, 1.0)), float(rng.uniform(0.5, 1.0))),
+            ]
+            for mx, my in masses:
+                x, y, _ = canonical_pair(LpVector.from_mass(mx, p), LpVector.from_mass(my, q))
+                for sign in (1, -1):
+                    full = np.abs(_tight_scale_many(x, y, signed, sign))
+                    k = _lexi_best(full, np.abs(signed))
+                    assert _grid_argmin(x, y, signed, sign) == (k, float(full[k]))
 
 
 class TestLimitScale:
@@ -241,8 +304,6 @@ class TestPinnedSegment:
         for _ in range(5):
             x, y = interior_pair(rng)
             grid = np.logspace(-3, 3, 600)
-            from lpq2.segment import _tight_scale_many
-
             vals = _tight_scale_many(x, y, grid, 1)
             steps = np.abs(np.diff(vals))
             dlog = math.log(grid[1] / grid[0])
