@@ -81,7 +81,6 @@ class CanonicalForm:
     left_factor: cn.Mat
     right_factor: cn.Mat
     maximizer: LpVector
-    image: LpVector
     certificate: NormCertificate
 
 
@@ -112,13 +111,11 @@ def canonicalize(T: Operator2x2, cert: NormCertificate | None = None) -> Canonic
     Tc = _conjugate(T, Sy, cn.transpose(Sx))
     xc_coords = cn.mat_vec(Sx, x0.coords())
     xc = LpVector(xc_coords[0], xc_coords[1], T.domain)
-    yc = apply(Tc, xc)
     return CanonicalForm(
         operator=Tc,
         left_factor=cn.transpose(Sy),
         right_factor=Sx,
         maximizer=xc,
-        image=yc,
         certificate=cert,
     )
 
@@ -412,6 +409,16 @@ def _band_family_match(Tc: Operator2x2, x_est: LpVector) -> bool:
     return best <= COORD_MATCH_TOL
 
 
+def segment_endpoints(cls: Classification) -> tuple[float, float]:
+    """(endpoint_plus, endpoint_minus) of the pinned segment through
+    cls.norm_pair: the ones classify already solved for (open regions),
+    else one solve per sign. Both equal pinned_segment's endpoints."""
+    x, y = cls.norm_pair
+    ep = cls.endpoint_plus if cls.endpoint_plus is not None else extremal_scale(x, y, 1).value
+    em = cls.endpoint_minus if cls.endpoint_minus is not None else extremal_scale(x, y, -1).value
+    return ep, em
+
+
 def not_extreme_certificate(
     T: Operator2x2, cls: Classification | None = None
 ) -> tuple[Operator2x2, Operator2x2]:
@@ -428,8 +435,7 @@ def not_extreme_certificate(
         raise ValueError("no pinned-family decomposition available for this verdict")
     x, y = cls.norm_pair
     s = cls.scale
-    ep = cls.endpoint_plus if cls.endpoint_plus is not None else extremal_scale(x, y, 1).value
-    em = cls.endpoint_minus if cls.endpoint_minus is not None else extremal_scale(x, y, -1).value
+    ep, em = segment_endpoints(cls)
     room = min(ep - s, s - em)
     if room <= 0.0:
         raise ValueError("decomposed scale is not interior to its segment")

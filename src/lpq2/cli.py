@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import click
 
-from .classify import classify
+from .classify import classify, segment_endpoints
 from .core import LpVector, RInfinity, as_exponent
 from .inequality import default_r_grid, sweep_margins
 from .mip import closedness_check, closure_probe, density_probe, dual_space, mip_verdict
@@ -37,23 +37,21 @@ ENV_PREFIX = "CLAB_"
 class RunConfig:
     """Tolerances, grid sizes, seed, and output routing for one invocation."""
 
-    tol_norm: float = 1e-8
     tol_attain: float = 1e-9
     tol_oracle: float = 1e-9
     eps_min: float = 1e-4
     gap_threshold: float = 1e-2
     sphere_scan: int = 4096
-    r_grid_per_decade: int = 512
     margin_grid: int = 2001
     seed: int = 0
     output_format: str = "json"
     output_path: str = "-"
 
     def __post_init__(self):
-        for name in ("tol_norm", "tol_attain", "tol_oracle", "eps_min", "gap_threshold"):
+        for name in _FLOAT_FIELDS:
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("sphere_scan", "r_grid_per_decade", "margin_grid"):
+        for name in ("sphere_scan", "margin_grid"):
             if getattr(self, name) < 16:
                 raise ValueError(f"{name} must be at least 16")
         self.seed = int(self.seed) & (2 ** 64 - 1)
@@ -61,8 +59,8 @@ class RunConfig:
             raise ValueError("output_format must be json or csv")
 
 
-_FLOAT_FIELDS = ("tol_norm", "tol_attain", "tol_oracle", "eps_min", "gap_threshold")
-_INT_FIELDS = ("sphere_scan", "r_grid_per_decade", "margin_grid", "seed")
+_FLOAT_FIELDS = ("tol_attain", "tol_oracle", "eps_min", "gap_threshold")
+_INT_FIELDS = ("sphere_scan", "margin_grid", "seed")
 _STR_FIELDS = ("output_format", "output_path")
 
 
@@ -327,10 +325,7 @@ def cmd_classify(p, q, matrix, with_oracle, config_path, seed, output_format, ou
         report["y"] = _vec_json(cls.norm_pair[1])
     if cls.scale is not None:
         report["scale"] = cls.scale
-        seg = pinned_segment(cls.norm_pair[0], cls.norm_pair[1],
-                             per_decade=cfg.r_grid_per_decade)
-        report["endpoint_plus"] = seg.endpoint_plus
-        report["endpoint_minus"] = seg.endpoint_minus
+        report["endpoint_plus"], report["endpoint_minus"] = segment_endpoints(cls)
     inconsistent = False
     if with_oracle:
         probe = extremality_probe(
@@ -364,7 +359,7 @@ def cmd_sstar(p, q, xs, ys, config_path, seed, output_format, output_path):
     pe, qe = _exponent(p), _exponent(q)
     x = _parse_vector(xs, pe)
     y = _parse_vector(ys, qe)
-    seg = pinned_segment(x, y, per_decade=cfg.r_grid_per_decade)
+    seg = pinned_segment(x, y)
     report = {
         "x": _vec_json(seg.x),
         "y": _vec_json(seg.y),

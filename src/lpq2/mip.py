@@ -324,7 +324,6 @@ class SequenceOutcome:
     sign: int
     scale_limit: float
     verdict: str
-    path_drift: float = 0.0
 
 
 @dataclass
@@ -340,13 +339,16 @@ class ClosednessReport:
 def closedness_check(
     p, q, n_sequences: int = 50, seed: int = 0
 ) -> ClosednessReport:
-    """Classify limits of convergent sequences of extreme contractions.
+    """Classify the limits of sequences of extreme contractions.
 
-    Sequences are built by shrinking seeded perturbation paths of the
-    norm-attaining pair; the limit operator is reconstructed from the limit
-    pair and the extrapolated endpoint scale, then classified. In the
-    settled regions other than the equal-exponent one, every limit must be
-    extreme.
+    Each of the n_sequences seeded limit pairs (x, y) is an axis vector
+    against a random unit vector, or two random unit vectors, and comes with
+    a random sign. Endpoint scales vary continuously with the pair, so
+    segment endpoints through pairs converging to (x, y) converge to the
+    endpoint at (x, y). The function builds that limit operator from one
+    endpoint solve at the limit pair, normalizes it and classifies it. In
+    the settled regions other than the equal-exponent one, every limit must
+    be extreme.
     """
     pe, qe = as_exponent(p), as_exponent(q)
     region = region_of(pe, qe)
@@ -371,31 +373,11 @@ def closedness_check(
             x_lim = _random_canonical_unit(rng, pe)
             y_lim = _random_canonical_unit(rng, qe)
         sign = 1 if rng.random() < 0.5 else -1
-        dx = rng.normal(size=2)
-        dy = rng.normal(size=2)
-
-        def at(t: float) -> tuple[LpVector, LpVector]:
-            xt = LpVector.unit(
-                abs(x_lim.x1 + t * dx[0]), abs(x_lim.x2 + t * dx[1]), pe
-            )
-            yt = LpVector.unit(
-                abs(y_lim.x1 + t * dy[0]), abs(y_lim.x2 + t * dy[1]), qe
-            )
-            return xt, yt
-
-        # The endpoint scale varies continuously along the path (near axis
-        # pairs only with a fractional power of t, so the path values close
-        # in slowly); the limit operator itself is built at the limit pair
-        # and the path values serve as a consistency record.
+        # Discarded draws: they keep each seed's stream, and so its limit
+        # pairs and reports, as they were when these four normals set a
+        # perturbation direction toward the limit pair.
+        rng.normal(size=4)
         s_lim = extremal_scale(x_lim, y_lim, sign).value
-        drift = 0.0
-        prev = None
-        for t in (2.0 ** (-8), 2.0 ** (-10), 2.0 ** (-12)):
-            xt, yt = at(t)
-            gap = abs(extremal_scale(xt, yt, sign).value - s_lim)
-            if prev is not None:
-                drift = max(drift, gap - prev - 1e-9)
-            prev = gap
         T_lim = pinned_operator(x_lim, y_lim, s_lim)
         nv = norm_value(T_lim)
         verdict = classify(T_lim.scaled(1.0 / nv)).verdict
@@ -404,7 +386,7 @@ def closedness_check(
         report.outcomes.append(
             SequenceOutcome(
                 x_limit=x_lim.coords(), y_limit=y_lim.coords(), sign=sign,
-                scale_limit=s_lim, verdict=verdict, path_drift=drift,
+                scale_limit=s_lim, verdict=verdict,
             )
         )
     return report

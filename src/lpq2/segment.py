@@ -29,9 +29,12 @@ from .core import (
 )
 from .opnorm import Operator2x2
 
-DEFAULT_R_MIN = 1e-6
-DEFAULT_R_MAX = 1e6
-DEFAULT_PER_DECADE = 512
+# The r-grid of the endpoint search: 512 points per decade over
+# 1e-6 <= |r| <= 1e6, the positive side first.
+_R_GRID = np.logspace(-6.0, 6.0, 512 * 12 + 1)
+_SIGNED_R_GRID = np.concatenate([_R_GRID, -_R_GRID])
+_R_GRID.setflags(write=False)
+_SIGNED_R_GRID.setflags(write=False)
 
 
 class LimitScaleInconsistency(RuntimeError):
@@ -380,14 +383,7 @@ def _grid_argmin(
     return int(kept[j]), float(abs_kept[j])
 
 
-def _extremal_canonical(
-    x: LpVector,
-    y: LpVector,
-    sign: int,
-    r_min: float,
-    r_max: float,
-    per_decade: int,
-) -> ScaleResult:
+def _extremal_canonical(x: LpVector, y: LpVector, sign: int) -> ScaleResult:
     """Extremal scale for a canonical pair: minimize |tight_scale| over the
     logarithmic r-grid (both signs of r), the infinite parameter, and the
     small-r limit.
@@ -401,19 +397,16 @@ def _extremal_canonical(
     leaves the grid winner, ties included, as _lexi_best picks it from all
     of _tight_scale_many's values.
     """
-    decades = math.log10(r_max) - math.log10(r_min)
-    n = max(int(round(per_decade * decades)) + 1, 16)
-    grid = np.logspace(math.log10(r_min), math.log10(r_max), n)
-    signed = np.concatenate([grid, -grid])
-    k, best_abs = _grid_argmin(x, y, signed, sign)
+    n = _R_GRID.size
+    k, best_abs = _grid_argmin(x, y, _SIGNED_R_GRID, sign)
     neg_side = k >= n
     ki = k - n if neg_side else k
     r_sign = -1.0 if neg_side else 1.0
 
-    witness: float | RInfinity | None = r_sign * float(grid[ki])
+    witness: float | RInfinity | None = r_sign * float(_R_GRID[ki])
     # Golden refinement in log|r| around an interior grid winner.
     if 0 < ki < n - 1:
-        lo, hi = math.log(grid[ki - 1]), math.log(grid[ki + 1])
+        lo, hi = math.log(_R_GRID[ki - 1]), math.log(_R_GRID[ki + 1])
 
         def f(u: float) -> float:
             return abs(_tight_scale_scalar(x, y, r_sign * math.exp(u), sign))
@@ -435,14 +428,7 @@ def _extremal_canonical(
     return ScaleResult(float(sign) * best_abs, witness)
 
 
-def extremal_scale(
-    x: LpVector,
-    y: LpVector,
-    sign: int,
-    r_min: float = DEFAULT_R_MIN,
-    r_max: float = DEFAULT_R_MAX,
-    per_decade: int = DEFAULT_PER_DECADE,
-) -> ScaleResult:
+def extremal_scale(x: LpVector, y: LpVector, sign: int) -> ScaleResult:
     """The admissible-interval endpoint of the given sign for the pinned
     family through (x, y), in the orientation of the inputs.
 
@@ -455,38 +441,26 @@ def extremal_scale(
     _require_unit(y, 1e-10, "extremal_scale (codomain vector)")
     xc, yc, orient = canonical_pair(x, y)
     csign = sign if orient > 0 else -sign
-    res = _extremal_canonical(xc, yc, csign, r_min, r_max, per_decade)
+    res = _extremal_canonical(xc, yc, csign)
     return ScaleResult(orient * res.value, res.witness)
 
 
-def pinned_segment(
-    x: LpVector,
-    y: LpVector,
-    r_min: float = DEFAULT_R_MIN,
-    r_max: float = DEFAULT_R_MAX,
-    per_decade: int = DEFAULT_PER_DECADE,
-) -> SegmentData:
-    """Both endpoints and both small-r limits for the pinned family."""
-    plus = extremal_scale(x, y, 1, r_min, r_max, per_decade)
-    minus = extremal_scale(x, y, -1, r_min, r_max, per_decade)
-    lim_plus = limit_scale(x, y, 1)
-    lim_minus = limit_scale(x, y, -1)
-    ep, em = plus.value, minus.value
-    # Tiny numerical excursions over the limits are clamped; anything larger
-    # is a genuine inconsistency the tests should see.
-    if ep > lim_plus and ep - lim_plus <= 1e-9:
-        ep = lim_plus
-    if em < lim_minus and lim_minus - em <= 1e-9:
-        em = lim_minus
-    ep = max(ep, 0.0)
-    em = min(em, 0.0)
+def pinned_segment(x: LpVector, y: LpVector) -> SegmentData:
+    """Both endpoints and both small-r limits for the pinned family.
+
+    The chain of SegmentData holds exactly: extremal_scale caps each
+    endpoint's magnitude at the _limit_magnitude of the same canonical pair
+    whose signed value limit_scale returns.
+    """
+    plus = extremal_scale(x, y, 1)
+    minus = extremal_scale(x, y, -1)
     return SegmentData(
         x=x,
         y=y,
-        endpoint_plus=ep,
-        endpoint_minus=em,
+        endpoint_plus=plus.value,
+        endpoint_minus=minus.value,
         witness_plus=plus.witness,
         witness_minus=minus.witness,
-        limit_plus=lim_plus,
-        limit_minus=lim_minus,
+        limit_plus=limit_scale(x, y, 1),
+        limit_minus=limit_scale(x, y, -1),
     )

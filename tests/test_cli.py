@@ -15,8 +15,11 @@ from lpq2.cli import (
     main,
     render_json,
 )
+from lpq2.classify import classify
 from lpq2.core import LpVector
 from lpq2.inequality import solve_matched_pair
+from lpq2.opnorm import Operator2x2
+from lpq2.segment import pinned_segment
 
 
 @pytest.fixture
@@ -33,7 +36,7 @@ class TestRunConfig:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            RunConfig(tol_norm=0.0)
+            RunConfig(tol_attain=0.0)
         with pytest.raises(ValueError):
             RunConfig(sphere_scan=8)
         with pytest.raises(ValueError):
@@ -107,6 +110,23 @@ class TestCommands:
         assert rep["verdict"] == "NotExtreme"
         assert rep["oracle"]["verdict"] == "NotExtreme"
         assert rep["consistent"] is True
+
+    def test_classify_open_region_solves_each_endpoint_once(self, runner, endpoint_solves):
+        # A norm-one open-region (1.5, 3) operator whose endpoints classify
+        # already solves: the command must reuse them, not solve again.
+        entries = (0.1955889223501423, -0.20550546737021783,
+                   0.9962567070949452, 0.1631851172291053)
+        res = runner.invoke(main, ["classify", "--p", "1.5", "--q", "3",
+                                   "--m", ",".join(map(repr, entries))])
+        assert res.exit_code == 0
+        assert len(endpoint_solves) == 2
+        rep = json.loads(res.output)
+        assert rep["region"] == "open_d"
+        assert rep["verdict"] in ("NotExtreme", "Unknown")
+        x, y = classify(Operator2x2(*entries, 1.5, 3.0)).norm_pair
+        seg = pinned_segment(x, y)
+        assert (rep["endpoint_plus"], rep["endpoint_minus"]) == (
+            seg.endpoint_plus, seg.endpoint_minus)
 
     def test_sstar_hilbert(self, runner):
         res = runner.invoke(

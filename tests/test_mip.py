@@ -156,6 +156,10 @@ class TestClosednessCheck:
         assert rep.non_extreme_limits == 0
         assert len(rep.outcomes) == 9
 
+    def test_one_endpoint_solve_per_sequence(self, endpoint_solves):
+        closedness_check(3.0, 1.5, n_sequences=3)
+        assert len(endpoint_solves) == 3
+
     def test_rejects_equal_exponents(self):
         with pytest.raises(ValueError):
             closedness_check(3.0, 3.0, n_sequences=2)
