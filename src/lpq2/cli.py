@@ -66,7 +66,9 @@ _STR_FIELDS = ("output_format", "output_path")
 
 def load_config(config_path: str | None, overrides: dict) -> RunConfig:
     """Assemble the run configuration: flags > environment (CLAB_*) > config
-    file (key=value lines) > defaults."""
+    file (key=value lines) > defaults. A key that names no field, in the
+    file or in a CLAB_* variable, is a usage error."""
+    fields = _FLOAT_FIELDS + _INT_FIELDS + _STR_FIELDS
     values: dict = {}
     if config_path:
         try:
@@ -76,13 +78,20 @@ def load_config(config_path: str | None, overrides: dict) -> RunConfig:
                     if not line or line.startswith("#") or "=" not in line:
                         continue
                     key, _, raw = line.partition("=")
-                    values[key.strip()] = raw.strip()
+                    key = key.strip()
+                    if key not in fields:
+                        raise click.UsageError(
+                            f"unknown key {key!r} in config file {config_path}"
+                        )
+                    values[key] = raw.strip()
         except OSError as exc:
             raise click.UsageError(f"cannot read config file: {exc}")
-    for name in _FLOAT_FIELDS + _INT_FIELDS + _STR_FIELDS:
-        env = os.environ.get(ENV_PREFIX + name.upper())
-        if env is not None:
-            values[name] = env
+    env_fields = {ENV_PREFIX + name.upper(): name for name in fields}
+    for var, env in os.environ.items():
+        if var.startswith(ENV_PREFIX):
+            if var not in env_fields:
+                raise click.UsageError(f"unknown configuration variable {var}")
+            values[env_fields[var]] = env
     for k, v in overrides.items():
         if v is not None:
             values[k] = v

@@ -311,12 +311,18 @@ def op_norm(
     return NormCertificate(norm, maximizers, independent)
 
 
-def is_contraction(T: Operator2x2, tol: float = 1e-9) -> bool:
-    """True when the induced norm does not exceed 1 + tol.
+def contraction_bound(tol: float) -> float:
+    """Largest computed norm that still counts as a contraction within tol.
 
-    A few ulps of slack absorb the roundoff of the sphere parametrization,
-    so tol = 0 still accepts exact isometries.
+    The factor 1 + 8e-16 (about four ulps of 1) absorbs the roundoff of the
+    sphere parametrization and of the lq-norm evaluation, so tol = 0 still
+    accepts exact isometries.
     """
+    return (1.0 + tol) * (1.0 + 8e-16)
+
+
+def is_contraction(T: Operator2x2, tol: float = 1e-9) -> bool:
+    """True when the induced norm does not exceed 1 + tol (contraction_bound)."""
     if tol < 0.0:
         raise ValueError("tolerance must be nonnegative")
-    return norm_value(T) <= (1.0 + tol) * (1.0 + 8e-16)
+    return norm_value(T) <= contraction_bound(tol)

@@ -14,7 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .opnorm import Operator2x2, is_contraction, op_norm
+from .core import LpVector, duality_map, lp_norm
+from .opnorm import (
+    Operator2x2,
+    apply,
+    contraction_bound,
+    is_contraction,
+    norm_value,
+    op_norm,
+)
 
 DEFAULT_N_DIRECTIONS = 720
 DEFAULT_EPS_MIN = 1e-4
@@ -73,20 +81,6 @@ def _segment_direction(T: Operator2x2) -> Operator2x2 | None:
     return _direction(T, D.entries())
 
 
-def _feasible(T: Operator2x2, D: Operator2x2, eps: float, tol: float) -> bool:
-    return is_contraction(T + D.scaled(eps), tol) and is_contraction(
-        T + D.scaled(-eps), tol
-    )
-
-
-def _excess(T: Operator2x2, D: Operator2x2, eps: float) -> float:
-    from .opnorm import norm_value
-
-    return (
-        max(norm_value(T + D.scaled(eps)), norm_value(T + D.scaled(-eps))) - 1.0
-    )
-
-
 # A genuine witness segment lies exactly on the unit sphere (the norm is
 # convex, <= 1 on the segment and = 1 at its midpoint, hence constant), so
 # the measured excess along it is pure roundoff. Directions along which the
@@ -94,6 +88,67 @@ def _excess(T: Operator2x2, D: Operator2x2, eps: float) -> float:
 # not witnesses, just tolerance leakage; they show excess ~ tol at the
 # bisected step and get rejected here.
 WITNESS_NOISE_TOL = 1e-12
+
+# The screen's bound f(Tx) + eps |f(Dx)| holds exactly for ||x||_p = 1 and
+# ||f||_q' = 1. The slack covers the rounding of both norms (a few ulps
+# times the exponent) and the golden-refinement error by which norm_value
+# can fall short of the true norm, so the screen rejects only directions
+# the sphere scans would reject too.
+SCREEN_SLACK = 1e-12
+
+
+_Pairs = list[tuple[tuple[float, float, float, float], float]]
+
+
+def _norming_pairs(T: Operator2x2, maximizers: list[LpVector]) -> _Pairs:
+    """For each unit x, the entries of f (x) x and the value f(Tx).
+
+    f is the norming functional of Tx / ||Tx||_q, a unit vector of the
+    conjugate space, so f(Sx) = sum_ij f_i x_j S_ij bounds ||S|| from below
+    for every operator S.
+    """
+    pairs = []
+    for x in maximizers:
+        w = apply(T, x)
+        n = lp_norm(w.x1, w.x2, T.codomain)
+        f = duality_map(LpVector(w.x1 / n, w.x2 / n, T.codomain))
+        g = (f.x1 * x.x1, f.x1 * x.x2, f.x2 * x.x1, f.x2 * x.x2)
+        pairs.append((g, _pairing(g, T)))
+    return pairs
+
+
+def _pairing(g: tuple, S: Operator2x2) -> float:
+    return g[0] * S.a11 + g[1] * S.a12 + g[2] * S.a21 + g[3] * S.a22
+
+
+def _screen_rejects(
+    D: Operator2x2, eps: float, tol: float, norming: _Pairs
+) -> bool:
+    """True when some pair proves max(||T + eps D||, ||T - eps D||) above the
+    contraction bound: that maximum is at least f(Tx) + eps |f(Dx)|."""
+    limit = contraction_bound(tol) + SCREEN_SLACK
+    return any(gT + eps * abs(_pairing(g, D)) > limit for g, gT in norming)
+
+
+def _feasible(
+    T: Operator2x2, D: Operator2x2, eps: float, tol: float, norming: _Pairs
+) -> bool:
+    """Both T + eps*D and T - eps*D are contractions within tol.
+
+    The screen over the norming pairs rejects most directions without a
+    sphere scan; it never rejects one that the two scans accept.
+    """
+    if _screen_rejects(D, eps, tol, norming):
+        return False
+    return is_contraction(T + D.scaled(eps), tol) and is_contraction(
+        T + D.scaled(-eps), tol
+    )
+
+
+def _excess(T: Operator2x2, D: Operator2x2, eps: float) -> float:
+    return (
+        max(norm_value(T + D.scaled(eps)), norm_value(T + D.scaled(-eps))) - 1.0
+    )
 
 
 def extremality_probe(
@@ -113,11 +168,22 @@ def extremality_probe(
     wins; by convexity of eps -> max(||T + eps D||, ||T - eps D||),
     checking feasibility at eps_min is equivalent to the maximal feasible
     step reaching it.
+
+    Every feasibility check (at eps_min, at eps = 1 and at each bisection
+    step) first runs an exact screen. For each maximizer x in the op_norm
+    certificate and the norming functional f of Tx / ||Tx||_q,
+    max(||T + eps D||, ||T - eps D||) >= f(Tx) + eps |f(Dx)|, by convexity
+    alone. When that bound exceeds the contraction bound by more than
+    SCREEN_SLACK, the direction is infeasible and no sphere scan runs.
+    The screen rejects only directions the scans reject, so verdict, step
+    and witness are those of the scans alone; on an extreme operator it
+    turns away nearly every direction at eps_min.
     """
     cert = op_norm(T)
     if abs(cert.norm - 1.0) > 1e-8:
         raise ValueError(f"extremality_probe requires norm one, got {cert.norm!r}")
     T = T.scaled(1.0 / cert.norm)
+    norming = _norming_pairs(T, cert.maximizers)
 
     directions: list[Operator2x2] = []
     seg = _segment_direction(T)
@@ -136,15 +202,15 @@ def extremality_probe(
             directions.append(d)
 
     for D in directions:
-        if D is None or not _feasible(T, D, eps_min, tol):
+        if D is None or not _feasible(T, D, eps_min, tol, norming):
             continue
         lo, hi = eps_min, 1.0
-        if _feasible(T, D, hi, tol):
+        if _feasible(T, D, hi, tol, norming):
             lo = hi
         else:
             for _ in range(bisect_iters):
                 mid = 0.5 * (lo + hi)
-                if _feasible(T, D, mid, tol):
+                if _feasible(T, D, mid, tol, norming):
                     lo = mid
                 else:
                     hi = mid

@@ -54,6 +54,22 @@ class TestRunConfig:
         assert cfg.margin_grid == 700       # env beats file
         assert cfg.seed == 5                # flag beats all
 
+    def test_unknown_config_key(self, runner, tmp_path):
+        cfile = tmp_path / "conf"
+        cfile.write_text("sphere_scna=8\n")
+        res = runner.invoke(
+            main,
+            ["norm", "--p", "2", "--q", "2", "--m", "1,0,0,1", "--config", str(cfile)],
+        )
+        assert res.exit_code == 2
+        assert "sphere_scna" in res.output
+
+    def test_unknown_env_variable(self, runner, monkeypatch):
+        monkeypatch.setenv("CLAB_SPHERE_SCNA", "8")
+        res = runner.invoke(main, ["norm", "--p", "2", "--q", "2", "--m", "1,0,0,1"])
+        assert res.exit_code == 2
+        assert "CLAB_SPHERE_SCNA" in res.output
+
 
 class TestRendering:
     def test_float_formats(self):
