@@ -49,7 +49,7 @@ class RunConfig:
 
     def __post_init__(self):
         for name in _FLOAT_FIELDS:
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:  # NaN is not positive either
                 raise ValueError(f"{name} must be positive")
         for name in ("sphere_scan", "margin_grid"):
             if getattr(self, name) < 16:
@@ -67,7 +67,8 @@ _STR_FIELDS = ("output_format", "output_path")
 def load_config(config_path: str | None, overrides: dict) -> RunConfig:
     """Assemble the run configuration: flags > environment (CLAB_*) > config
     file (key=value lines) > defaults. A key that names no field, in the
-    file or in a CLAB_* variable, is a usage error."""
+    file or in a CLAB_* variable, or a value that does not convert to its
+    field's type, is a usage error."""
     fields = _FLOAT_FIELDS + _INT_FIELDS + _STR_FIELDS
     values: dict = {}
     if config_path:
@@ -96,15 +97,15 @@ def load_config(config_path: str | None, overrides: dict) -> RunConfig:
         if v is not None:
             values[k] = v
     kwargs: dict = {}
-    for name in _FLOAT_FIELDS:
-        if name in values:
-            kwargs[name] = float(values[name])
-    for name in _INT_FIELDS:
-        if name in values:
-            kwargs[name] = int(values[name])
-    for name in _STR_FIELDS:
-        if name in values:
-            kwargs[name] = str(values[name])
+    for names, kind in ((_FLOAT_FIELDS, float), (_INT_FIELDS, int), (_STR_FIELDS, str)):
+        for name in names:
+            if name in values:
+                try:
+                    kwargs[name] = kind(values[name])
+                except ValueError:
+                    raise click.UsageError(
+                        f"{name} must be {kind.__name__}, got {values[name]!r}"
+                    )
     try:
         return RunConfig(**kwargs)
     except ValueError as exc:

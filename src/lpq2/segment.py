@@ -23,22 +23,39 @@ from .core import (
     duality_map,
     is_infinite_param,
     lp_norm,
-    _golden_min,
     _require_unit,
     _rotated_dual_coords,
 )
 from .opnorm import Operator2x2
 
-# The r-grid of the endpoint search: 512 points per decade over
-# 1e-6 <= |r| <= 1e6, the positive side first.
-_R_GRID = np.logspace(-6.0, 6.0, 512 * 12 + 1)
-_SIGNED_R_GRID = np.concatenate([_R_GRID, -_R_GRID])
-_R_GRID.setflags(write=False)
-_SIGNED_R_GRID.setflags(write=False)
+# The r-grid of the endpoint search: 8 points per decade over
+# 1e-6 <= |r| <= 1e6, both signs. Below 1e-6 the first-order cancellation
+# in the offsets (see _log_curve_norm) costs more than 1e-10 of relative
+# accuracy, so no sample lies outside this range.
+_R_MIN, _R_MAX = 1e-6, 1e6
+_R_GRID = np.logspace(math.log10(_R_MIN), math.log10(_R_MAX), 8 * 12 + 1)
+_SIGNED_GRID = np.concatenate([_R_GRID, -_R_GRID])
+_SIGNED_GRID.setflags(write=False)
 
+# Root solve (_tight_roots). A point stops when its Newton step in log t is
+# below _NEWTON_TOL plus its rounding noise, or after _NEWTON_MAX steps; a
+# root whose rounding noise (_EPS times the cancelling first-order terms)
+# exceeds _NOISE_MAX of its log norm is noise, reported as NaN.
+_NEWTON_TOL = 1e-10
+_NEWTON_MAX = 100
+_EPS = 2.0 ** -52
+_NOISE_MAX = 1e-3
 
-class LimitScaleInconsistency(RuntimeError):
-    """Closed-form and dyadic estimates of the small-r limit disagree."""
+# Zoom passes: each spreads _ZOOM_POINTS over a bracket in log|r| and keeps
+# the two cells around its best point, so the bracket shrinks 128-fold per
+# pass, from at most two grid cells (0.58) to 2e-9. The first two passes
+# only locate the minimum: their Newton tolerances leave errors (1e-10 and
+# 1e-12) below the differences between neighbouring points of the pass
+# (about 5e-6 and 3e-10 relative times the curvature of log|s|).
+_ZOOM_POINTS = 257
+_ZOOM_TOLS = (1e-5, 1e-6, _NEWTON_TOL, _NEWTON_TOL)
+_ZOOM_ROWS = 8
+_ZOOM_STEPS = np.linspace(0.0, 1.0, _ZOOM_POINTS)
 
 
 @dataclass(frozen=True)
@@ -100,159 +117,135 @@ def scale_at_infinity(x: LpVector, y: LpVector, sign: int) -> float:
     return float(sign) * num / den
 
 
-def _pow_offset(c: float, delta: np.ndarray, p: float) -> np.ndarray:
-    """|c + delta|^p - |c|^p, elementwise, without cancellation for small delta.
+def _log_curve_norm(v: LpVector):
+    """The map t -> (l, t * dl/dt), elementwise, for
+    l = log ||v + t * (rotated dual of v)||_p and a unit v.
 
-    The small-perturbation branch goes through expm1(p * log1p(delta/c)), so
-    the result keeps full relative accuracy even when delta is many orders of
-    magnitude below c.
+    l comes from the offset ||.||_p^p - 1 = sum |c|^p (|1 + u|^p - 1),
+    u = t d / c, each term through expm1 of p log|1 + u|, and log|1 + u| is
+    log1p(u), or log1p(-2 - u) where the coordinate c + t d has changed
+    sign. Each term keeps its relative accuracy as t -> 0, where the log
+    of the norm itself is rounding noise, and where a coordinate of the
+    curve vanishes; their sum loses about 1e-16/|t| relative to the
+    cancellation of the two first-order terms. Where the offset overflows
+    (exponents in the dozens), l is the log of the norm with its largest
+    entry factored out. The second value, the elasticity of l, is t times
+    the closed-form derivative sum(d sgn(w) |w|^(p-1)) / ||w||_p^p,
+    w = v + t d.
     """
-    delta = np.asarray(delta, dtype=float)
-    if c < 0.0:
-        c, delta = -c, -delta
-    if c == 0.0:
-        return np.abs(delta) ** p
-    u = delta / c
-    small = np.abs(u) <= 0.5
-    cp = c ** p
-    out = np.empty_like(u)
-    out[small] = cp * np.expm1(p * np.log1p(u[small]))
-    large = ~small
-    out[large] = np.abs(c + delta[large]) ** p - cp
-    return out
-
-
-def _curve_offset(v: LpVector, t: np.ndarray, power: float) -> np.ndarray:
-    """||curve_through(v, t)||_p^power - ||v||_p^power, treating v as exactly
-    unit. For unit v this equals curve_norm_power(v, t, power) - 1, but stays
-    accurate down to t ~ 0 where the direct form loses everything."""
     p = v.exponent.value
-    d1, d2 = _rotated_dual_coords(v)
-    off = _pow_offset(v.x1, t * d1, p) + _pow_offset(v.x2, t * d2, p)
-    if power == p:
-        return off
-    return np.expm1((power / p) * np.log1p(off))
+    cs = (v.x1, v.x2)
+    c = np.array(cs)[:, None]
+    d = np.array(_rotated_dual_coords(v))[:, None]
+    inv_c = np.array([1.0 / ci if ci else math.inf for ci in cs])[:, None]
+    c_pow = np.array([abs(ci) ** p for ci in cs])[:, None]
+    any_axis = 0.0 in cs
+    on_axis = c == 0.0
+
+    def log_norm(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        delta = d * t
+        w = c + delta
+        mag = np.abs(w)
+        u = delta * inv_c
+        terms = c_pow * np.expm1(p * np.log1p(np.maximum(u, -2.0 - u)))
+        if any_axis:
+            terms = np.where(on_axis, mag ** p, terms)
+        ell = np.log1p(terms[0] + terms[1]) / p
+        if not np.isfinite(ell).all():
+            m = np.maximum(mag[0], mag[1])
+            far = np.log(m) + np.log1p((np.minimum(mag[0], mag[1]) / m) ** p) / p
+            ell = np.where(np.isfinite(ell), ell, far)
+        inv = np.exp(-ell)
+        slope = d * np.copysign((mag * inv) ** (p - 1.0), w)
+        return ell, t * inv * (slope[0] + slope[1])
+
+    return log_norm
 
 
-def _safe_r(rs: np.ndarray, p: float, q: float) -> np.ndarray:
-    """Cap |r| so r^max(p,q) stays inside double range (matters only for
-    exponents in the dozens)."""
-    cap = 10.0 ** min(8.0, 290.0 / max(p, q))
-    return np.clip(rs, -cap, cap)
-
-
-def _tight_scale_many(
-    x: LpVector, y: LpVector, rs: np.ndarray, sign: int
-) -> np.ndarray:
-    """Vectorized root solve: the unique s of the given sign making the image
-    of the domain curve land on the codomain sphere of matching radius.
-
-    Works on the offset of the norm power from 1 rather than the norm power
-    itself; near r = 0 both sides are O(r^2) and the direct formulation would
-    drown in the ulps of values near 1.
-    """
-    return _tight_scales(x, y, rs, sign, prune=False)[1]
-
-
-def _tight_scales(
-    x: LpVector, y: LpVector, rs: np.ndarray, sign: int, prune: bool
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _tight_roots(
+    x: LpVector, y: LpVector, rs: np.ndarray, sign: int, s0=1.0, tol: float = _NEWTON_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The root solve of _tight_scale_many, returning (indices, scales).
+    """Tightness scales at the curve parameters rs (nonzero, finite): the s
+    of the given sign for which the codomain curve at t = r s has the norm of
+    the domain curve at r, i.e. log ||y + t Jy*||_q = log ||x + r Jx*||_p.
+    Returns (s, d log|s| / d log|r|); the slope is E_x / E_y - 1, E the
+    elasticities of the two log norms at the solution.
 
-    With prune=False every index of rs is returned. With prune=True the
-    bisection drops, after each halving, the points whose |s| can no longer
-    be the smallest (see _extremal_canonical); the scales of the points it
-    keeps are bit-identical to the unpruned ones.
+    One Newton iteration in (log t, log l) for all points at once, from
+    t = s0 |r| (s0 a scalar or one guess per point): near t = 0 both logs
+    of the norms grow like t^2, far out like log t, so the log of either
+    side is close to linear in log t and a few steps suffice. Safeguard: a
+    step that fails to halve the step before, or leaves the bracket the
+    residual signs give, is replaced by a bisection of that bracket in
+    log t. A point stops once its Newton step is below tol, which leaves a
+    relative error of order its square, plus four times the
+    rounding noise of its residual: below that the steps are noise. A
+    point is NaN where the domain log norm underflows, or where the noise
+    at its root exceeds _NOISE_MAX (near-axis vectors with exponents far
+    from 2, at tiny t).
     """
-    rs = _safe_r(np.asarray(rs, dtype=float), x.exponent.value, y.exponent.value)
-    q = y.exponent.value
-    idx = np.arange(rs.size)
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        target = _curve_offset(x, rs, power=q)
-        tsign = float(sign) * np.sign(rs)
-        # The codomain offset grows like D * |t|^q; seed the upper bracket
-        # from that rate so only a few doubling rounds remain.
-        d1, d2 = _rotated_dual_coords(y)
-        growth = max(abs(d1), abs(d2)) ** q
-        hi = 2.0 * (1.0 + (np.maximum(target, 0.0) / growth) ** (1.0 / q))
-        for _ in range(80):
-            f = _curve_offset(y, tsign * hi, power=q)
-            need = f < target
-            if not need.any():
-                break
-            hi = np.where(need, hi * 2.0, hi)
-        lo = np.zeros_like(hi)
-        abs_r = np.abs(rs)
-        # 54 halvings reach ~1e-16 relative width; endpoints are then polished
-        # by the scalar golden refinement where it matters.
-        for _ in range(54):
-            mid = 0.5 * (lo + hi)
-            f = _curve_offset(y, tsign * mid, power=q)
-            lower = f < target
-            lo = np.where(lower, mid, lo)
-            hi = np.where(lower, hi, mid)
-            if prune:
-                # fmin skips NaN, and a NaN lower bound compares False.
-                keep = ~(lo / abs_r > np.fmin.reduce(hi / abs_r))
-                if not keep.all():
-                    idx, rs, abs_r, target, tsign, lo, hi = (
-                        a[keep] for a in (idx, rs, abs_r, target, tsign, lo, hi)
-                    )
-        t = tsign * 0.5 * (lo + hi)
-        return idx, t / rs
-
-
-def _pow_offset_s(c: float, delta: float, p: float) -> float:
-    if c < 0.0:
-        c, delta = -c, -delta
-    if c != 0.0:
-        u = delta / c
-        if -0.5 <= u <= 0.5:
-            return c ** p * math.expm1(p * math.log1p(u))
-    # At c = 0 the direct form is |delta|^p, which can overflow too.
-    try:
-        return abs(c + delta) ** p - c ** p
-    except OverflowError:
-        return math.inf
-
-
-def _tight_scale_scalar(x: LpVector, y: LpVector, r: float, sign: int) -> float:
-    """Scalar twin of _tight_scale_many for refinement loops."""
-    p, q = x.exponent.value, y.exponent.value
-    cap = 10.0 ** min(8.0, 290.0 / max(p, q))
-    r = max(-cap, min(cap, r))
-    dx1, dx2 = _rotated_dual_coords(x)
-    dy1, dy2 = _rotated_dual_coords(y)
-    off_x = _pow_offset_s(x.x1, r * dx1, p) + _pow_offset_s(x.x2, r * dx2, p)
-    target = off_x if q == p else math.expm1((q / p) * math.log1p(off_x))
-
-    def off_y(t: float) -> float:
-        return _pow_offset_s(y.x1, t * dy1, q) + _pow_offset_s(y.x2, t * dy2, q)
-
-    tsign = float(sign) * (1.0 if r > 0 else -1.0)
-    growth = max(abs(dy1), abs(dy2)) ** q
-    hi = 2.0 * (1.0 + (max(target, 0.0) / growth) ** (1.0 / q))
-    for _ in range(80):
-        if off_y(tsign * hi) >= target:
-            break
-        hi *= 2.0
-    lo = 0.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            # Float fixed point: every later step leaves 0.5 * (lo + hi) = mid.
-            break
-        if off_y(tsign * mid) < target:
-            lo = mid
+    rs = np.asarray(rs, dtype=float)
+    abs_r = np.abs(rs)
+    tsign = float(sign) * np.sign(rs)
+    codomain = _log_curve_norm(y)
+    target, x_elast = _log_curve_norm(x)(rs)
+    log_target = np.log(target)
+    # The first-order terms of an offset, p |c1 c2|^(p-1) |t| in size,
+    # cancel; their rounding, relative to the log norm l, is the noise
+    # _EPS |c1 c2|^(p-1) |t| / l of the solve. At the root l is the target,
+    # so a root beyond t_noise is noise above _NOISE_MAX.
+    x_noise = _EPS * abs(x.x1 * x.x2) ** (x.exponent.value - 1.0)
+    y_noise = _EPS * abs(y.x1 * y.x2) ** (y.exponent.value - 1.0)
+    x_rel = x_noise * abs_r / target
+    t_noise = _NOISE_MAX * target / y_noise
+    tol = tol + 4.0 * x_rel
+    done = ~(target > 0.0)
+    t = np.where(done, np.nan, s0 * abs_r)
+    y_noise4 = 4.0 * y_noise
+    lo = np.zeros_like(t)
+    hi = np.full_like(t, np.inf)
+    last = np.full_like(t, np.inf)
+    for _ in range(_NEWTON_MAX):
+        ell, elast = codomain(tsign * t)
+        resid = np.log(ell) - log_target
+        step = resid * ell / elast  # the Newton step lowers log t by this
+        size = np.abs(step)
+        # NaN compares False, so a point whose step is NaN stops.
+        finished = ~(size > tol + y_noise4 * t / ell)
+        new = t * np.exp(-step)
+        below = resid < 0.0
+        lo = np.where(below, t, lo)
+        hi = np.where(below, hi, t)
+        # A Newton step must halve the step before and stay in the bracket
+        # the residual signs give; otherwise the point bisects the bracket
+        # in log t (or doubles or halves t while one end is still open),
+        # unless it stops here. A halving step rarely leaves the bracket,
+        # so that test waits for the first step that does not halve.
+        newton = size <= 0.5 * last
+        if newton.all():
+            last = size
         else:
-            hi = mid
-    return tsign * 0.5 * (lo + hi) / r
+            newton &= (new > lo) & (new <= hi)
+            # A root above lo is above t_noise: noise, so stop looking.
+            finished |= lo > t_noise
+            mid = np.where(np.isfinite(hi), np.sqrt(lo * hi), 2.0 * lo)
+            mid = np.where(finished, t, np.where(lo > 0.0, mid, 0.5 * hi))
+            new = np.where(newton, new, mid)
+            last = np.where(newton, size, np.abs(np.log(new / t)))
+        t = np.where(done, t, new)
+        done |= finished
+        if done.all():
+            break
+    s = np.where(x_rel + y_noise * t / target > _NOISE_MAX, np.nan, float(sign) * t / abs_r)
+    return s, x_elast / elast - 1.0
 
 
 def tight_scale(x: LpVector, y: LpVector, r, sign: int) -> float:
     """Scalar tightness scale at curve parameter r (nonzero; infinity allowed).
 
     At r = 0 both sides of the defining equation are 1 and no root exists.
+    NaN where doubles cannot resolve the root (see _tight_roots).
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -263,7 +256,7 @@ def tight_scale(x: LpVector, y: LpVector, r, sign: int) -> float:
     r = float(r)
     if r == 0.0:
         raise ValueError("tight_scale is undefined at r = 0 (no root)")
-    return _tight_scale_scalar(x, y, r, sign)
+    return float(_tight_roots(x, y, np.array([r]), sign)[0][0])
 
 
 def _curvature(p: float, coord_prod: float) -> float:
@@ -282,8 +275,6 @@ def _limit_magnitude(x: LpVector, y: LpVector) -> float:
     q = y.exponent.value
     cp = _curvature(p, abs(x.x1 * x.x2))
     cq = _curvature(q, abs(y.x1 * y.x2))
-    degenerate_p = cp == 0.0 or math.isinf(cp)
-    degenerate_q = cq == 0.0 or math.isinf(cq)
     if (cp == 0.0 and cq == 0.0) or (math.isinf(cp) and math.isinf(cq)):
         # Both vectors on axes with both exponents away from 2: the scale is
         # governed by the direct comparison of the two exponents.
@@ -297,124 +288,104 @@ def _limit_magnitude(x: LpVector, y: LpVector) -> float:
     return math.sqrt(cp / cq)
 
 
-def _limit_numeric(x: LpVector, y: LpVector, sign: int) -> tuple[float, bool]:
-    """Dyadic small-r estimate of the limit scale: evaluates the tightness
-    scale at r = +-2^-k, k = 10..40, and extrapolates from the moderate-k
-    band where the defining offsets still clear double-precision noise.
-
-    Returns (estimate, diverging). Both one-sided sequences are computed;
-    if they split, the smaller-magnitude side is used (the limit inferior).
-    """
-    ks = np.arange(10, 41)
-    rs = 2.0 ** (-ks.astype(float))
-    sp = _tight_scale_many(x, y, rs, sign)
-    sn = _tight_scale_many(x, y, -rs, sign)
-    # Extrapolation band: offsets ~ r^2 are still >> 1e-16 here.
-    band = 6  # index of k = 16
-    mp = np.abs(sp[: band + 1])
-    growth = mp[-1] / max(mp[0], 1e-300)
-    if mp[-1] > 1e8 or growth > 1.5:
-        return math.inf * sign, True
-
-    def one_sided(seq: np.ndarray) -> float:
-        # The scale approaches its limit with side-dependent linear slope;
-        # two Richardson levels kill the r and r^2 terms of each side.
-        r1a = 2.0 * seq[band] - seq[band - 1]
-        r1b = 2.0 * seq[band - 1] - seq[band - 2]
-        return float((4.0 * r1a - r1b) / 3.0)
-
-    ep = one_sided(sp)
-    en = one_sided(sn)
-    if abs(ep - en) > 1e-6 * max(1.0, abs(ep)):
-        est = ep if abs(ep) <= abs(en) else en
-    else:
-        est = 0.5 * (ep + en)
-    return est, False
-
-
-def limit_scale(
-    x: LpVector, y: LpVector, sign: int, verify: bool = False
-) -> float:
-    """Signed small-r limit of the tightness scale (+-inf when divergent).
-
-    With verify=True the closed form is cross-checked against the dyadic
-    estimate and a LimitScaleInconsistency is raised on disagreement beyond
-    1e-4 instead of silently preferring either.
-    """
+def limit_scale(x: LpVector, y: LpVector, sign: int) -> float:
+    """Signed small-r limit of the tightness scale (+-inf when divergent)."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     _require_unit(x, 1e-10, "limit_scale (domain vector)")
     _require_unit(y, 1e-10, "limit_scale (codomain vector)")
     xc, yc, _ = canonical_pair(x, y)
-    mag = _limit_magnitude(xc, yc)
-    closed = float(sign) * mag
-    if verify:
-        est, diverging = _limit_numeric(xc, yc, sign)
-        if math.isinf(mag):
-            if not diverging and abs(est) < 1e3:
-                raise LimitScaleInconsistency(
-                    f"closed form is infinite but dyadic estimate is {est:.6g}"
-                )
-        elif diverging:
-            raise LimitScaleInconsistency(
-                f"closed form is {closed:.6g} but dyadic sequence diverges"
-            )
-        elif abs(est - closed) > 1e-4 * max(1.0, abs(closed)):
-            raise LimitScaleInconsistency(
-                f"closed form {closed:.6g} vs dyadic estimate {est:.6g}"
-            )
-    return closed
+    return float(sign) * _limit_magnitude(xc, yc)
 
 
-def _lexi_best(abs_s: np.ndarray, abs_r: np.ndarray) -> int:
-    """Index of the smallest |s|, ties resolved toward smaller |r|."""
-    order = np.lexsort((abs_r, abs_s))
-    return int(order[0])
+def _closed_form(x: LpVector, y: LpVector) -> bool:
+    """Canonical pairs whose endpoint no finite curve parameter attains:
+    axis pairs (the scale is constant 1, or tends to 0 or to 1 at the ends
+    of the curve) and balanced pairs with p < q (the two-point power-mean
+    inequality puts the infimum at r -> 0)."""
+    if x.x2 == 0.0 and y.x2 == 0.0:
+        return True
+    return x.x1 == x.x2 and y.x1 == y.x2 and x.exponent.value < y.exponent.value
 
 
-def _grid_argmin(
-    x: LpVector, y: LpVector, rs: np.ndarray, sign: int
-) -> tuple[int, float]:
-    """(k, |s_k|) for the grid point k that _lexi_best picks from the
-    tightness scales at rs, computed with the pruned bisection."""
-    kept, s_kept = _tight_scales(x, y, rs, sign, prune=True)
-    abs_kept = np.abs(s_kept)
-    j = _lexi_best(abs_kept, np.abs(rs[kept]))
-    return int(kept[j]), float(abs_kept[j])
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _grid_min(x: LpVector, y: LpVector, sign: int) -> tuple[float, float]:
+    """(|s|, r) for the smallest tightness scale over finite r.
+
+    The samples are the signed log grid and the points in its range where
+    the domain curve crosses an axis: with p < 2, |x + r Jx*|^p bends there
+    like a corner, which can put a minimum exactly at the crossing. A
+    minimum lies around every sample below both its neighbours, and between
+    two neighbouring samples where |s| turns from falling to rising, by the
+    sign of the slope the root solve returns. These brackets (at most
+    _ZOOM_ROWS, those with the smallest samples) are refined at once by
+    zoom passes of the same root solve, warm-started from the scales of
+    the pass before; the passes compare values only, so they need no
+    smoothness at corners.
+    """
+    d = _rotated_dual_coords(x)
+    crossings = [-c / di for c, di in zip(x.coords(), d) if c != 0.0 and di != 0.0]
+    crossings = [r for r in crossings if _R_MIN <= abs(r) <= _R_MAX]
+    rs = np.concatenate([_SIGNED_GRID, crossings])
+    s, slope = _tight_roots(x, y, rs, sign)
+    # fmin turns a NaN scale (a failed solve) into inf, so it never wins.
+    s = np.fmin(np.abs(s), np.inf)
+    k = int(np.argmin(s))
+    best, r_best = float(s[k]), float(rs[k])
+    rising = slope > 0.0
+    rows = []  # smallest log|s| in the bracket, side, bracket in log|r|, samples
+    for side in (1.0, -1.0):
+        on_side = (np.sign(rs) == side) & (s > 0.0) & (s < np.inf)
+        order = np.argsort(np.abs(rs[on_side]))
+        us = np.log(np.abs(rs[on_side]))[order]
+        log_s = np.log(s[on_side])[order]
+        up = rising[on_side][order]
+        low = np.zeros(us.size, dtype=bool)
+        low[1:-1] = (log_s[1:-1] < log_s[:-2]) & (log_s[1:-1] <= log_s[2:])
+        turn = ~up[:-1] & up[1:] & ~low[:-1] & ~low[1:]
+        brackets = [(i - 1, i + 1) for i in np.flatnonzero(low)]
+        brackets += [(i, i + 1) for i in np.flatnonzero(turn)]
+        rows += [(log_s[i:j + 1].min(), side, us[i], us[j], us, log_s) for i, j in brackets]
+    if not rows:
+        return best, r_best
+    # Rounding noise on flat stretches can make many shallow minima.
+    rows.sort(key=lambda row: row[0])
+    _, sides, lo, hi, prev_u, prev_log_s = zip(*rows[:_ZOOM_ROWS])
+    sides = np.array(sides)[:, None]
+    lo, hi = np.array(lo)[:, None], np.array(hi)[:, None]
+    every = np.arange(len(sides))
+    for tol in _ZOOM_TOLS:
+        zu = lo + (hi - lo) * _ZOOM_STEPS
+        zr = sides * np.exp(zu)
+        # Warm start: the scales of the last pass, interpolated in log.
+        s0 = np.exp([np.interp(u, pu, pl) for u, pu, pl in zip(zu, prev_u, prev_log_s)])
+        zs = _tight_roots(x, y, zr.ravel(), sign, s0=s0.ravel(), tol=tol)[0]
+        zs = np.fmin(np.abs(zs), np.inf).reshape(zu.shape)
+        j = np.argmin(zs, axis=1)
+        i = int(np.argmin(zs[every, j]))
+        if tol <= _NEWTON_TOL and zs[i, j[i]] < best:
+            best, r_best = float(zs[i, j[i]]), float(zr[i, j[i]])
+        j = np.clip(j, 1, _ZOOM_POINTS - 2)
+        lo, hi = zu[every, j - 1][:, None], zu[every, j + 1][:, None]
+        prev_u, prev_log_s = zu, np.log(zs)
+    return best, r_best
 
 
 def _extremal_canonical(x: LpVector, y: LpVector, sign: int) -> ScaleResult:
-    """Extremal scale for a canonical pair: minimize |tight_scale| over the
-    logarithmic r-grid (both signs of r), the infinite parameter, and the
-    small-r limit.
+    """Extremal scale for a canonical pair: the smallest |tight_scale| over
+    finite r (both signs), the infinite parameter, and the small-r limit.
 
-    The grid bisection only follows the points that can still be the
-    minimum. After each halving a point's bracket [lo, hi] holds every later
-    bracket, and rounding of the midpoint and of the division by |r| is
-    monotone, so its final |s| lies in [lo/|r|, hi/|r|]. A point whose
-    lo/|r| exceeds the smallest hi/|r| in play therefore ends strictly above
-    some other point's |s|: it can neither win nor tie, and dropping it
-    leaves the grid winner, ties included, as _lexi_best picks it from all
-    of _tight_scale_many's values.
+    Closed forms come first. For Hilbert pairs every scale is 1 and the
+    reported witness is the infinite parameter, where the ratio
+    ||T_s v|| / ||v|| is exactly |s|. For axis pairs and balanced pairs
+    with p < q (_closed_form) the endpoint is the smaller of the scale at
+    infinity and the small-r limit, so no finite r is solved for.
     """
-    n = _R_GRID.size
-    k, best_abs = _grid_argmin(x, y, _SIGNED_R_GRID, sign)
-    neg_side = k >= n
-    ki = k - n if neg_side else k
-    r_sign = -1.0 if neg_side else 1.0
-
-    witness: float | RInfinity | None = r_sign * float(_R_GRID[ki])
-    # Golden refinement in log|r| around an interior grid winner.
-    if 0 < ki < n - 1:
-        lo, hi = math.log(_R_GRID[ki - 1]), math.log(_R_GRID[ki + 1])
-
-        def f(u: float) -> float:
-            return abs(_tight_scale_scalar(x, y, r_sign * math.exp(u), sign))
-
-        u_best, f_best = _golden_min(f, lo, hi, 1e-10)
-        if f_best < best_abs:
-            best_abs = f_best
-            witness = r_sign * math.exp(u_best)
+    if x.exponent.is_two and y.exponent.is_two:
+        return ScaleResult(float(sign), R_INFINITY)
+    best_abs, witness = math.inf, None
+    if not _closed_form(x, y):
+        best_abs, witness = _grid_min(x, y, sign)
 
     s_inf = scale_at_infinity(x, y, sign)
     if abs(s_inf) < best_abs:

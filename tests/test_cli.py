@@ -70,6 +70,23 @@ class TestRunConfig:
         assert res.exit_code == 2
         assert "CLAB_SPHERE_SCNA" in res.output
 
+    def test_bad_config_value(self, runner, tmp_path):
+        cfile = tmp_path / "conf"
+        cfile.write_text("eps_min=abc\n")
+        res = runner.invoke(
+            main,
+            ["norm", "--p", "2", "--q", "2", "--m", "1,0,0,1", "--config", str(cfile)],
+        )
+        assert res.exit_code == 2
+        assert "eps_min" in res.output
+
+    def test_bad_env_value(self, runner, monkeypatch):
+        for bad in ("abc", "nan"):
+            monkeypatch.setenv("CLAB_EPS_MIN", bad)
+            res = runner.invoke(main, ["norm", "--p", "2", "--q", "2", "--m", "1,0,0,1"])
+            assert res.exit_code == 2
+            assert "eps_min" in res.output
+
 
 class TestRendering:
     def test_float_formats(self):

@@ -3,15 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from lpq2.canonical import canonical_pair
 from lpq2.core import LpVector, R_INFINITY, RInfinity, curve_norm_power, curve_through
 from lpq2.opnorm import Operator2x2, apply, is_contraction, norm_value
 from lpq2.segment import (
-    _SIGNED_R_GRID,
-    _grid_argmin,
-    _lexi_best,
-    _limit_numeric,
-    _tight_scale_many,
+    _tight_roots,
     extremal_scale,
     limit_scale,
     pinned_operator,
@@ -20,7 +15,14 @@ from lpq2.segment import (
     tight_scale,
 )
 
-from oracles import diag_norm_closed
+from oracles import (
+    canonical,
+    diag_norm_closed,
+    limit_numeric,
+    mp_extremal_scale,
+    mp_tight_scale,
+    verify_limit_scale,
+)
 
 
 def e1(p):
@@ -168,41 +170,58 @@ class TestExtremalScale:
         assert norm_value(T) == pytest.approx(1.0, abs=1e-9)
 
 
-# One or two exponent pairs in each of the ten regions, with both range edges.
-REGION_PAIRS = (
-    (2.0, 2.0),
-    (2.0, 1.5), (2.0, 6.0),
-    (3.0, 2.0), (1.2, 2.0),
-    (3.0, 3.0), (1.05, 1.05),
-    (6.0, 1.5), (64.0, 1.2),
-    (1.2, 1.5),
-    (1.5, 1.05),
-    (3.0, 6.0),
-    (64.0, 3.0),
-    (1.5, 3.0), (1.05, 64.0),
+def _balanced(p):
+    return LpVector.unit(1.0, 1.0, p)
+
+
+# Endpoints against 50-digit references: closed-form pairs with their
+# witnesses, and pairs attained at a finite r with p or q at the bottom of
+# the range (mass-parametrised, some off the canonical orientation).
+CLOSED_FORM_PAIRS = (
+    # (x, y, |endpoint| or None for the r -> 0 limit, witness)
+    (e1(3.0), e1(6.0), 1.0, R_INFINITY),
+    (e1(6.0), e1(3.0), 0.0, None),
+    (e1(64.0), e1(64.0), 1.0, R_INFINITY),
+    (LpVector.unit(0.6, -0.8, 2), LpVector.unit(0.3, 0.9, 2), 1.0, R_INFINITY),
+    (_balanced(1.3), _balanced(1.6), None, None),  # lpq2 sstar --x 1,1 --y 1,1
+)
+FINITE_PAIRS = (
+    (0.7, 1.05, 0.6, 3.0),
+    (0.8, 3.0, 0.3, 1.05),
+    (0.9, 1.05, 0.6, 1.05),
+    (0.7, 1.05, 0.2, 64.0),
+    (0.35, 6.0, 0.75, 1.05),
+    (0.6, 1.05, 0.5, 1.5),
 )
 
 
-class TestGridArgmin:
-    def test_pruned_matches_full_bisection(self):
-        # The pruned bisection must pick the same grid point, with the same
-        # |s| to the bit, as _lexi_best over every unpruned tightness scale.
-        rng = np.random.default_rng(11)
-        for p, q in REGION_PAIRS:
-            near = 1.0 - 1e-9
-            masses = [
-                (1.0, 1.0),
-                (0.5, 0.5),
-                (near, float(rng.uniform(0.5, 1.0))),
-                (float(rng.uniform(0.5, 1.0)), near),
-                (float(rng.uniform(0.5, 1.0)), float(rng.uniform(0.5, 1.0))),
-            ]
-            for mx, my in masses:
-                x, y, _ = canonical_pair(LpVector.from_mass(mx, p), LpVector.from_mass(my, q))
-                for sign in (1, -1):
-                    full = np.abs(_tight_scale_many(x, y, _SIGNED_R_GRID, sign))
-                    k = _lexi_best(full, np.abs(_SIGNED_R_GRID))
-                    assert _grid_argmin(x, y, _SIGNED_R_GRID, sign) == (k, float(full[k]))
+class TestEndpointsAgainstMpmath:
+    def test_closed_form_pairs(self):
+        for x, y, mag, witness in CLOSED_FORM_PAIRS:
+            if mag is None:  # the r -> 0 limit: s is even in r, so s(1e-12) is within 1e-24
+                p, q = x.exponent.value, y.exponent.value
+                mag = float(mp_tight_scale(x.coords(), y.coords(), p, q, 1e-12, 1))
+            seg = pinned_segment(x, y)
+            assert (seg.endpoint_plus, seg.endpoint_minus) == pytest.approx(
+                (mag, -mag), rel=1e-15, abs=0.0
+            )
+            assert seg.witness_plus is witness and seg.witness_minus is witness
+
+    def test_finite_witness_pairs(self):
+        for mx, p, my, q in FINITE_PAIRS:
+            x = LpVector.from_mass(mx, p)
+            y = LpVector.from_mass(my, q)
+            y = LpVector(-y.x2, y.x1, q) if mx < 0.5 else y
+            for sign in (1, -1):
+                res = extremal_scale(x, y, sign)
+                ref, _ = mp_extremal_scale(x.coords(), y.coords(), p, q, sign)
+                assert abs(res.value) == pytest.approx(float(ref), rel=3e-14, abs=0.0)
+                assert isinstance(res.witness, float)
+                # The reported witness, a parameter of the canonical pair,
+                # attains the reported value.
+                (xc, dx), (yc, dy) = canonical(x.coords()), canonical(y.coords())
+                at_witness = mp_tight_scale(xc, yc, p, q, res.witness, sign * dx * dy)
+                assert abs(res.value) == pytest.approx(abs(float(at_witness)), rel=3e-14, abs=0.0)
 
 
 class TestLimitScale:
@@ -226,8 +245,9 @@ class TestLimitScale:
         checked = 0
         for _ in range(50):
             x, y = interior_pair(rng, 1.3, 4.5)
+            p, q = x.exponent.value, y.exponent.value
             closed = limit_scale(x, y, 1)
-            est, diverging = _limit_numeric(x, y, 1)
+            est, diverging = limit_numeric(x.coords(), y.coords(), p, q, 1)
             assert not diverging
             assert abs(est - closed) <= 1e-6 * max(1.0, abs(closed))
             checked += 1
@@ -237,8 +257,9 @@ class TestLimitScale:
         rng = np.random.default_rng(6)
         for _ in range(10):
             x, y = interior_pair(rng, 1.4, 4.0)
-            limit_scale(x, y, 1, verify=True)
-            limit_scale(x, y, -1, verify=True)
+            p, q = x.exponent.value, y.exponent.value
+            for sign in (1, -1):
+                verify_limit_scale(limit_scale(x, y, sign), x.coords(), y.coords(), p, q, sign)
 
 
 class TestPinnedSegment:
@@ -299,7 +320,7 @@ class TestPinnedSegment:
         for _ in range(5):
             x, y = interior_pair(rng)
             grid = np.logspace(-3, 3, 600)
-            vals = _tight_scale_many(x, y, grid, 1)
+            vals = _tight_roots(x, y, grid, 1)[0]
             steps = np.abs(np.diff(vals))
             dlog = math.log(grid[1] / grid[0])
             assert steps.max() <= 50.0 * dlog * max(1.0, np.abs(vals).max())
