@@ -6,6 +6,10 @@ directions, or belongs to one of the closed-form single-direction families
 of its exponent region. The exponent plane splits into five settled
 regions and five with only partial results, where a verdict of Unknown is
 first class: no guessing happens there.
+
+`settled_families` is the one statement of the single-direction families
+of the settled regions: `classify` matches operators against it and
+`mip` samples its members from it.
 """
 
 from __future__ import annotations
@@ -13,9 +17,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import canonical as cn
-from .core import LpVector, _golden_min, _rotated_dual_coords, as_exponent, lp_norm
-from .opnorm import NormCertificate, Operator2x2, apply, op_norm, sphere_point
+from .core import (
+    SAME_EXPONENT_TOL, Exponent, LpVector, _dual_coords, _golden_min, _rotated_dual_coords,
+    as_exponent, lp_norm,
+)
+from .opnorm import NormCertificate, Operator2x2, _scan_values, apply, op_norm, sphere_point
 from .segment import extremal_scale, limit_scale, pinned_operator
 
 # Verdicts
@@ -40,7 +49,6 @@ OPEN_F = "open_f"
 
 CLOSED_REGIONS = (REGION_I, REGION_II, REGION_III, REGION_IV, REGION_V)
 
-_EQ_TOL = 1e-12
 COORD_MATCH_TOL = 1e-7  # closed-form family matching on coordinates
 NORM_ONE_TOL = 1e-8
 DECOMP_RESIDUAL_TOL = 1e-8
@@ -49,16 +57,15 @@ INTERIOR_MARGIN = 1e-6
 
 def region_of(p, q) -> str:
     """Exponent-plane region tag for (domain, codomain)."""
-    pv, qv = as_exponent(p).value, as_exponent(q).value
-    p2 = abs(pv - 2.0) <= _EQ_TOL
-    q2 = abs(qv - 2.0) <= _EQ_TOL
-    if p2 and q2:
+    pe, qe = as_exponent(p), as_exponent(q)
+    pv, qv = pe.value, qe.value
+    if pe.is_two and qe.is_two:
         return REGION_I
-    if p2:
+    if pe.is_two:
         return REGION_II
-    if q2:
+    if qe.is_two:
         return REGION_III
-    if abs(pv - qv) <= _EQ_TOL:
+    if abs(pv - qv) <= SAME_EXPONENT_TOL:
         return REGION_IV
     if qv < 2.0 < pv:
         return REGION_V
@@ -67,6 +74,54 @@ def region_of(p, q) -> str:
     if pv > 2.0 and qv > 2.0:
         return OPEN_C if pv < qv else OPEN_F
     return OPEN_D  # pv < 2 < qv
+
+
+DOMAIN = "domain"
+CODOMAIN = "codomain"
+
+
+@dataclass(frozen=True)
+class Family:
+    """Pinned operators T_s(x, y) whose vector on the `fixed` side is e1, or
+    the balanced unit vector (both coordinate masses 1/2), with the other
+    vector free and s one of `scales`. With `off_axes`, the member whose
+    free vector is e1 too is not extreme."""
+
+    fixed: str
+    balanced: bool
+    scales: tuple[float, ...]
+    detail: str
+    off_axes: bool = False
+
+    def fixed_vector(self, e: Exponent) -> LpVector:
+        return LpVector.from_mass(0.5, e) if self.balanced else LpVector(1.0, 0.0, e)
+
+
+def settled_families(p, q) -> tuple[Family, ...]:
+    """The single-direction extreme families of the settled region of (p, q),
+    up to signed permutations on either side: none in region i, where only
+    the isometries are extreme, and none in the open regions."""
+    pe, qe = as_exponent(p), as_exponent(q)
+    pv, qv = pe.value, qe.value
+    region = region_of(pe, qe)
+    onto_axis = Family(CODOMAIN, False, (0.0,), "rank-one onto a coordinate axis")
+    from_axis = Family(DOMAIN, False, (0.0,), "rank-one from a coordinate axis")
+    if region == REGION_II and qv > 2.0:
+        sb = 1.0 / math.sqrt(qv - 1.0) * 2.0 ** ((qv - 2.0) / qv)
+        return (Family(CODOMAIN, True, (sb, -sb),
+                       "balanced image with matching correction scale"),)
+    if region == REGION_III and pv < 2.0:
+        sb = math.sqrt(pv - 1.0) * 2.0 ** ((2.0 - pv) / pv)
+        return (Family(DOMAIN, True, (sb, -sb),
+                       "balanced maximizer with matching correction scale"),)
+    if region == REGION_IV and pv > 2.0:
+        return (Family(DOMAIN, False, (0.0,),
+                       "rank-one from a coordinate axis, interior image", True),)
+    if region == REGION_IV:
+        return (Family(CODOMAIN, False, (0.0,),
+                       "rank-one onto a coordinate axis, interior maximizer", True),)
+    return {REGION_II: (onto_axis,), REGION_III: (from_axis,),
+            REGION_V: (onto_axis, from_axis)}.get(region, ())
 
 
 @dataclass
@@ -135,14 +190,8 @@ class Classification:
 
 def is_isometry_sample(T: Operator2x2, n: int = 64, tol: float = 1e-9) -> bool:
     """Norm preservation checked on a sphere sample."""
-    for k in range(n):
-        theta = math.pi * k / n
-        v1, v2 = sphere_point(theta, T.domain)
-        w1 = T.a11 * v1 + T.a12 * v2
-        w2 = T.a21 * v1 + T.a22 * v2
-        if abs(lp_norm(w1, w2, T.codomain) - 1.0) > tol:
-            return False
-    return True
+    vals = _scan_values(T, math.pi * np.arange(n) / n)
+    return bool(np.all(np.abs(vals - 1.0) <= tol))
 
 
 def _is_signed_permutation(T: Operator2x2, tol: float = 1e-9) -> bool:
@@ -204,10 +253,6 @@ def _decompose(can: CanonicalForm) -> tuple[LpVector, LpVector, float]:
     return x, y, s
 
 
-def _near(v: float, target: float, tol: float = COORD_MATCH_TOL) -> bool:
-    return abs(v - target) <= tol
-
-
 def _symmetric_scale(p: float, q: float) -> float:
     """Single-direction family scale when both coordinate masses are 1/2."""
     return math.sqrt((p - 1.0) / (q - 1.0)) * 2.0 ** (2.0 / p - 2.0 / q)
@@ -230,9 +275,7 @@ def _matches_family(T: Operator2x2, x: LpVector, y: LpVector, s: float) -> bool:
 def _dual_pullback(T: Operator2x2, y: LpVector) -> LpVector | None:
     """Candidate maximizer for image y: the adjoint sends the norming
     functional of y to that of x, which inverts coordinatewise."""
-    e = y.exponent.value - 1.0
-    f1 = math.copysign(abs(y.x1) ** e, y.x1)
-    f2 = math.copysign(abs(y.x2) ** e, y.x2)
+    f1, f2 = _dual_coords(y)
     w1 = T.a11 * f1 + T.a21 * f2
     w2 = T.a12 * f1 + T.a22 * f2
     inv = 1.0 / (T.domain.value - 1.0)
@@ -286,8 +329,6 @@ def classify(
     Tc = can.operator
     x, y, s = _decompose(can)
     pair = (x, y)
-    axis_x = LpVector(1.0, 0.0, T.domain)
-    axis_y = LpVector(1.0, 0.0, T.codomain)
 
     def not_extreme(detail: str) -> Classification:
         return Classification(NOT_EXTREME, region, detail, pair, s)
@@ -298,58 +339,22 @@ def classify(
     if region == REGION_I:
         return not_extreme("single maximizer in the Hilbert case is interior")
 
-    if region == REGION_II:
-        if q < 2.0:
-            xh = _dual_pullback(Tc, axis_y)
-            if xh is not None and _matches_family(Tc, xh, axis_y, 0.0):
-                return extreme_b("rank-one onto a coordinate axis")
-            return not_extreme("no single-direction family matches")
-        y_bal = LpVector.from_mass(0.5, T.codomain)
-        want = 1.0 / math.sqrt(q - 1.0) * 2.0 ** ((q - 2.0) / q)
-        xh = _dual_pullback(Tc, y_bal)
-        if xh is not None and any(
-            _matches_family(Tc, xh, y_bal, ss) for ss in (want, -want)
-        ):
-            return extreme_b("balanced image with matching correction scale")
-        return not_extreme("no single-direction family matches")
-
-    if region == REGION_III:
-        if p > 2.0:
-            yh = _image_vector(Tc, axis_x)
-            if yh is not None and _matches_family(Tc, axis_x, yh, 0.0):
-                return extreme_b("rank-one from a coordinate axis")
-            return not_extreme("no single-direction family matches")
-        x_bal = LpVector.from_mass(0.5, T.domain)
-        want = math.sqrt(p - 1.0) * 2.0 ** ((2.0 - p) / p)
-        yh = _image_vector(Tc, x_bal)
-        if yh is not None and any(
-            _matches_family(Tc, x_bal, yh, ss) for ss in (want, -want)
-        ):
-            return extreme_b("balanced maximizer with matching correction scale")
-        return not_extreme("no single-direction family matches")
-
-    if region == REGION_IV:
-        if p > 2.0:
-            yh = _image_vector(Tc, axis_x)
-            if yh is not None and _matches_family(Tc, axis_x, yh, 0.0):
-                if yh.x2 > COORD_MATCH_TOL:
-                    return extreme_b("rank-one from a coordinate axis, interior image")
-                return not_extreme("axis-to-axis rank-one is interior")
-            return not_extreme("no single-direction family matches")
-        xh = _dual_pullback(Tc, axis_y)
-        if xh is not None and _matches_family(Tc, xh, axis_y, 0.0):
-            if xh.x2 > COORD_MATCH_TOL:
-                return extreme_b("rank-one onto a coordinate axis, interior maximizer")
-            return not_extreme("axis-to-axis rank-one is interior")
-        return not_extreme("no single-direction family matches")
-
-    if region == REGION_V:
-        xh = _dual_pullback(Tc, axis_y)
-        if xh is not None and _matches_family(Tc, xh, axis_y, 0.0):
-            return extreme_b("rank-one onto a coordinate axis")
-        yh = _image_vector(Tc, axis_x)
-        if yh is not None and _matches_family(Tc, axis_x, yh, 0.0):
-            return extreme_b("rank-one from a coordinate axis")
+    if region in CLOSED_REGIONS:
+        for fam in settled_families(T.domain, T.codomain):
+            if fam.fixed == DOMAIN:
+                xf = fam.fixed_vector(T.domain)
+                yf = _image_vector(Tc, xf)
+            else:
+                yf = fam.fixed_vector(T.codomain)
+                xf = _dual_pullback(Tc, yf)
+            if xf is None or yf is None:
+                continue
+            if any(_matches_family(Tc, xf, yf, ss) for ss in fam.scales):
+                if fam.off_axes and _matches_family(
+                    Tc, LpVector(1.0, 0.0, T.domain), LpVector(1.0, 0.0, T.codomain), 0.0
+                ):
+                    return not_extreme("axis-to-axis rank-one is interior")
+                return extreme_b(fam.detail)
         return not_extreme("no single-direction family matches")
 
     # Open regions: only the settled families give a definite Extreme; a

@@ -18,6 +18,8 @@ EXPONENT_MIN = 1.05
 EXPONENT_MAX = 64.0
 
 _TWO_TOL = 1e-12
+# Two exponents closer than this are the same exponent.
+SAME_EXPONENT_TOL = 1e-12
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -180,6 +182,13 @@ def _require_unit(x: LpVector, tol: float, what: str) -> None:
         raise ValueError(f"{what} requires a unit vector (norm off by {err:.3e})")
 
 
+def _dual_coords(x: LpVector) -> tuple[float, float]:
+    """Coordinates sgn(xi)|xi|^(p-1) of the duality image of x; unlike
+    duality_map, no conjugate exponent, which is below 1.05 for p > 21."""
+    e = x.exponent.value - 1.0
+    return (sign(x.x1) * abs(x.x1) ** e, sign(x.x2) * abs(x.x2) ** e)
+
+
 def duality_map(x: LpVector, tol: float = 1e-10) -> LpVector:
     """The unique norming functional of a unit x, as a vector in the conjugate space.
 
@@ -187,12 +196,8 @@ def duality_map(x: LpVector, tol: float = 1e-10) -> LpVector:
     conjugate norm.
     """
     _require_unit(x, tol, "duality_map")
-    e = x.exponent.value - 1.0
-    return LpVector(
-        sign(x.x1) * abs(x.x1) ** e,
-        sign(x.x2) * abs(x.x2) ** e,
-        x.exponent.conjugate,
-    )
+    d1, d2 = _dual_coords(x)
+    return LpVector(d1, d2, x.exponent.conjugate)
 
 
 def rotate(x: LpVector) -> LpVector:
@@ -202,8 +207,8 @@ def rotate(x: LpVector) -> LpVector:
 
 def _rotated_dual_coords(x: LpVector) -> tuple[float, float]:
     """Coordinates of the duality image of the rotated vector."""
-    e = x.exponent.value - 1.0
-    return (-sign(x.x2) * abs(x.x2) ** e, sign(x.x1) * abs(x.x1) ** e)
+    d1, d2 = _dual_coords(x)
+    return (-d2, d1)
 
 
 def curve_through(x: LpVector, r) -> LpVector:

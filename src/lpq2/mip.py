@@ -20,17 +20,16 @@ import numpy as np
 
 from .classify import (
     CLOSED_REGIONS,
+    DOMAIN,
     EXTREME_ISOMETRY,
     EXTREME_TYPE_A,
     EXTREME_TYPE_B,
     REGION_I,
-    REGION_II,
-    REGION_III,
     REGION_IV,
-    REGION_V,
     classify,
     generate_extreme,
     region_of,
+    settled_families,
 )
 from .core import Exponent, LpVector, as_exponent
 from .opnorm import Operator2x2, norm_value
@@ -85,30 +84,13 @@ class ProbeReport:
     max_net_distance: float = 0.0
 
 
-def _canonical_unit_from_mass(mass: float, e: Exponent) -> LpVector:
-    mass = min(max(mass, 1e-12), 1.0 - 1e-12)
-    v = LpVector.from_mass(max(mass, 1.0 - mass), e)
-    return v
-
-
 def _family_members(p: Exponent, q: Exponent, grid: int) -> list[Operator2x2]:
-    """The single-direction closed-form families of the region of (p, q), on
-    a parameter grid, plus the signed-permutation isometries when they are
-    extreme."""
+    """The single-direction families of the region of (p, q)
+    (`settled_families`), on a parameter grid, plus the signed-permutation
+    isometries when they are extreme."""
     region = region_of(p, q)
-    pv, qv = p.value, q.value
     out: list[Operator2x2] = []
     masses = np.linspace(0.5, 1.0 - 1e-9, grid)
-    e1p = LpVector(1.0, 0.0, p)
-    e1q = LpVector(1.0, 0.0, q)
-
-    def units(e: Exponent):
-        for m in masses:
-            v = LpVector.from_mass(float(m), e)
-            yield v
-            if v.x2 > 0.0:
-                yield LpVector(v.x2, v.x1, e)
-                yield LpVector(v.x1, -v.x2, e)
 
     if region == REGION_I:
         for t in np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False):
@@ -116,68 +98,48 @@ def _family_members(p: Exponent, q: Exponent, grid: int) -> list[Operator2x2]:
             out.append(Operator2x2(c, -s, s, c, p, q))
             out.append(Operator2x2(c, s, s, -c, p, q))
         return out
-    if region == REGION_II:
-        if qv < 2.0:
-            for v in units(p):
-                out.append(pinned_operator(v, e1q, 0.0))
-                out.append(pinned_operator(v, LpVector(0.0, 1.0, q), 0.0))
-        else:
-            y_bal = LpVector.from_mass(0.5, q)
-            sb = 1.0 / math.sqrt(qv - 1.0) * 2.0 ** ((qv - 2.0) / qv)
-            for v in units(p):
-                out.append(pinned_operator(v, y_bal, sb))
-                out.append(pinned_operator(v, y_bal, -sb))
-    elif region == REGION_III:
-        if pv > 2.0:
-            for v in units(q):
-                out.append(pinned_operator(e1p, v, 0.0))
-                out.append(pinned_operator(LpVector(0.0, 1.0, p), v, 0.0))
-        else:
-            x_bal = LpVector.from_mass(0.5, p)
-            sb = math.sqrt(pv - 1.0) * 2.0 ** ((2.0 - pv) / pv)
-            for v in units(q):
-                out.append(pinned_operator(x_bal, v, sb))
-                out.append(pinned_operator(x_bal, v, -sb))
-    elif region == REGION_IV:
-        if pv > 2.0:
-            for v in units(q):
-                if v.x1 * v.x2 != 0.0:
-                    out.append(pinned_operator(e1p, v, 0.0))
-                    out.append(pinned_operator(LpVector(0.0, 1.0, p), v, 0.0))
-        else:
-            for v in units(p):
-                if v.x1 * v.x2 != 0.0:
-                    out.append(pinned_operator(v, e1q, 0.0))
-                    out.append(pinned_operator(v, LpVector(0.0, 1.0, q), 0.0))
+    for fam in settled_families(p, q):
+        fixed_e, free_e = (p, q) if fam.fixed == DOMAIN else (q, p)
+        pins = [fam.fixed_vector(fixed_e)]
+        if not fam.balanced:
+            pins.append(LpVector(0.0, 1.0, fixed_e))
+        for m in masses:
+            # Masses stop short of 1, so both coordinates are positive.
+            v = LpVector.from_mass(float(m), free_e)
+            for w in (v, LpVector(v.x2, v.x1, free_e), LpVector(v.x1, -v.x2, free_e)):
+                for pin in pins:
+                    x, y = (pin, w) if fam.fixed == DOMAIN else (w, pin)
+                    out.extend(pinned_operator(x, y, sc) for sc in fam.scales)
+    if region == REGION_IV:
         for pat in ((1, 0, 0, 1), (1, 0, 0, -1), (0, 1, 1, 0), (0, -1, 1, 0)):
             out.append(Operator2x2(*(float(v) for v in pat), p, q))
-    elif region == REGION_V:
-        for v in units(p):
-            out.append(pinned_operator(v, e1q, 0.0))
-            out.append(pinned_operator(v, LpVector(0.0, 1.0, q), 0.0))
-        for v in units(q):
-            out.append(pinned_operator(e1p, v, 0.0))
-            out.append(pinned_operator(LpVector(0.0, 1.0, p), v, 0.0))
     return out
 
 
 def _random_canonical_unit(rng: np.random.Generator, e: Exponent) -> LpVector:
     # Arcsine-distributed coordinate mass covers the boundary-heavy regions
     # where the extreme families live.
-    mass = float(rng.beta(0.5, 0.5))
-    return _canonical_unit_from_mass(mass, e)
+    mass = min(max(float(rng.beta(0.5, 0.5)), 1e-12), 1.0 - 1e-12)
+    return LpVector.from_mass(max(mass, 1.0 - mass), e)
 
 
-def _sample_extremes(
-    p: Exponent, q: Exponent, n_samples: int, rng: np.random.Generator, grid: int = 256
+def _sample_endpoints(
+    p: Exponent, q: Exponent, n_samples: int, rng: np.random.Generator
 ) -> list[Operator2x2]:
-    out = _family_members(p, q, grid)
+    """Segment endpoints through seeded random pairs, with random signs."""
+    out = []
     for _ in range(n_samples):
         x = _random_canonical_unit(rng, p)
         y = _random_canonical_unit(rng, q)
         sign = 1 if rng.random() < 0.5 else -1
         out.append(generate_extreme(x, y, sign))
     return out
+
+
+def _sample_extremes(
+    p: Exponent, q: Exponent, n_samples: int, rng: np.random.Generator, grid: int = 256
+) -> list[Operator2x2]:
+    return _family_members(p, q, grid) + _sample_endpoints(p, q, n_samples, rng)
 
 
 def density_probe(
@@ -294,12 +256,7 @@ def closure_probe(
         raise ValueError("closure_probe targets the equal-exponent spaces away from 2")
     rng = np.random.default_rng(seed)
     family = _family_members(pe, pe, family_grid)
-    type_a: list[Operator2x2] = []
-    for _ in range(n_samples):
-        x = _random_canonical_unit(rng, pe)
-        y = _random_canonical_unit(rng, pe)
-        sign = 1 if rng.random() < 0.5 else -1
-        type_a.append(generate_extreme(x, y, sign))
+    type_a = _sample_endpoints(pe, pe, n_samples, rng)
 
     report = ClosureReport(p=pe.value, s_values=[float(s) for s in s_values])
     for s in report.s_values:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LpVector, duality_map, lp_norm
+from .core import LpVector, _dual_coords, lp_norm
 from .opnorm import (
     Operator2x2,
     apply,
@@ -111,8 +111,8 @@ def _norming_pairs(T: Operator2x2, maximizers: list[LpVector]) -> _Pairs:
     for x in maximizers:
         w = apply(T, x)
         n = lp_norm(w.x1, w.x2, T.codomain)
-        f = duality_map(LpVector(w.x1 / n, w.x2 / n, T.codomain))
-        g = (f.x1 * x.x1, f.x1 * x.x2, f.x2 * x.x1, f.x2 * x.x2)
+        f1, f2 = _dual_coords(LpVector(w.x1 / n, w.x2 / n, T.codomain))
+        g = (f1 * x.x1, f1 * x.x2, f2 * x.x1, f2 * x.x2)
         pairs.append((g, _pairing(g, T)))
     return pairs
 

@@ -20,7 +20,9 @@ from .core import (
     LpVector,
     RInfinity,
     R_INFINITY,
-    duality_map,
+    SAME_EXPONENT_TOL,
+    Exponent,
+    _dual_coords,
     is_infinite_param,
     lp_norm,
     _require_unit,
@@ -95,14 +97,14 @@ def pinned_operator(x: LpVector, y: LpVector, s: float) -> Operator2x2:
     """The operator mapping x to y whose rank-one correction has scale s."""
     _require_unit(x, 1e-10, "pinned_operator (domain vector)")
     _require_unit(y, 1e-10, "pinned_operator (codomain vector)")
-    xp = duality_map(x)
+    xp = _dual_coords(x)
     yod = _rotated_dual_coords(y)
     xo = (-x.x2, x.x1)
     return Operator2x2(
-        y.x1 * xp.x1 + s * yod[0] * xo[0],
-        y.x1 * xp.x2 + s * yod[0] * xo[1],
-        y.x2 * xp.x1 + s * yod[1] * xo[0],
-        y.x2 * xp.x2 + s * yod[1] * xo[1],
+        y.x1 * xp[0] + s * yod[0] * xo[0],
+        y.x1 * xp[1] + s * yod[0] * xo[1],
+        y.x2 * xp[0] + s * yod[1] * xo[0],
+        y.x2 * xp[1] + s * yod[1] * xo[1],
         x.exponent,
         y.exponent,
     )
@@ -259,10 +261,11 @@ def tight_scale(x: LpVector, y: LpVector, r, sign: int) -> float:
     return float(_tight_roots(x, y, np.array([r]), sign)[0][0])
 
 
-def _curvature(p: float, coord_prod: float) -> float:
+def _curvature(e: Exponent, coord_prod: float) -> float:
     """Second-order growth rate of the curve norm power at r = 0."""
-    if abs(p - 2.0) <= 1e-12:
+    if e.is_two:
         return 1.0
+    p = e.value
     if coord_prod > 0.0:
         return (p - 1.0) * coord_prod ** (p - 2.0)
     return 0.0 if p > 2.0 else math.inf
@@ -273,12 +276,12 @@ def _limit_magnitude(x: LpVector, y: LpVector) -> float:
     growth of the two curve norms; extended arithmetic covers axis vectors."""
     p = x.exponent.value
     q = y.exponent.value
-    cp = _curvature(p, abs(x.x1 * x.x2))
-    cq = _curvature(q, abs(y.x1 * y.x2))
+    cp = _curvature(x.exponent, abs(x.x1 * x.x2))
+    cq = _curvature(y.exponent, abs(y.x1 * y.x2))
     if (cp == 0.0 and cq == 0.0) or (math.isinf(cp) and math.isinf(cq)):
         # Both vectors on axes with both exponents away from 2: the scale is
         # governed by the direct comparison of the two exponents.
-        if abs(p - q) <= 1e-12:
+        if abs(p - q) <= SAME_EXPONENT_TOL:
             return 1.0
         return 0.0 if p > q else math.inf
     if math.isinf(cp) or cq == 0.0:

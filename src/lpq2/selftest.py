@@ -57,10 +57,6 @@ def _random_unit(rng: np.random.Generator, p) -> LpVector:
     return LpVector.unit(float(a), float(b), p)
 
 
-def _interior_canonical(rng: np.random.Generator, p, lo: float = 0.55, hi: float = 0.9) -> LpVector:
-    return LpVector.from_mass(float(rng.uniform(lo, hi)), p)
-
-
 def check_case_one_anchors(scale: str = FULL, seed: int = 2024) -> CheckResult:
     """Equal exponents give unit endpoints; axis pairs give the degenerate
     or infinite-parameter endpoints with the identity realization."""

@@ -15,9 +15,11 @@ from lpq2.classify import (
     generate_extreme,
     not_extreme_certificate,
     region_of,
+    settled_families,
 )
-from lpq2.core import LpVector
+from lpq2.core import Exponent, LpVector
 from lpq2.inequality import solve_matched_pair
+from lpq2.mip import _family_members
 from lpq2.opnorm import Operator2x2, adjoint, norm_value
 from lpq2.oracle import midpoint_check
 from lpq2.segment import limit_scale, pinned_operator
@@ -50,6 +52,42 @@ class TestRegionOf:
     )
     def test_table(self, pq, want):
         assert region_of(*pq) == want
+
+
+class TestSettledFamilies:
+    def test_none_in_hilbert_and_open_regions(self):
+        for pq in ((2, 2), (1.5, 1.8), (2.5, 3), (1.5, 3), (1.8, 1.5), (4, 3)):
+            assert settled_families(*pq) == ()
+
+    @pytest.mark.parametrize(
+        "pq",
+        [(2, 1.5), (2, 3), (3, 2), (1.5, 2), (3, 3), (1.5, 1.5), (1.2, 1.2),
+         (3, 1.5), (6, 1.2)],
+    )
+    def test_generated_members_are_recognised(self, pq):
+        # mip samples the members of the table and classify matches against
+        # it: every member is extreme, and a single-direction one is named
+        # by the detail of a family of its region.
+        details = {fam.detail for fam in settled_families(*pq)}
+        for T in _family_members(Exponent(pq[0]), Exponent(pq[1]), 12):
+            cls = classify(T)
+            assert cls.verdict in EXTREMES
+            if cls.verdict == EXTREME_TYPE_B:
+                assert cls.detail in details
+
+    @pytest.mark.parametrize("p,entry", [(1.05, 0.373), (1.2, 1e-4), (1.5, 1e-6)])
+    def test_region_iv_axis_exception_reads_entries(self, p, entry):
+        # For p < 2 the entry of the rank-one operator onto e1 is x2^(p-1),
+        # not x2, so a small maximizer coordinate is no axis-to-axis member.
+        T = Operator2x2(1.0, entry, 0.0, 0.0, p, p)
+        cls = classify(T.scaled(1.0 / norm_value(T)))
+        assert cls.verdict == EXTREME_TYPE_B
+        assert cls.detail == "rank-one onto a coordinate axis, interior maximizer"
+
+    def test_axis_to_axis_stays_interior_below_two(self):
+        cls = classify(Operator2x2(1.0, 0.0, 0.0, 0.0, 1.5, 1.5))
+        assert cls.verdict == NOT_EXTREME
+        assert cls.detail == "axis-to-axis rank-one is interior"
 
 
 class TestCanonicalize:

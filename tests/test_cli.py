@@ -211,6 +211,18 @@ class TestCommands:
         assert rep["mip_verdict"] == "FailsMIP"
         assert rep["verdict"] == "GapEvidence"
 
+    def test_mip_domain_with_conjugate_below_range(self, runner):
+        # The conjugate of 30 is below 1.05; the dual coordinates need none.
+        res = runner.invoke(
+            main,
+            ["mip", "--p", "30", "--q", "3", "--x", "0.7", "--y", "0.6",
+             "--samples", "4", "--net-points", "30"],
+        )
+        assert res.exit_code == 0
+        rep = json.loads(res.output)
+        assert rep["mip_verdict"] == "FailsMIP"
+        assert rep["net_points"] == 30
+
     def test_mip_out_of_scope(self, runner):
         res = runner.invoke(
             main, ["mip", "--p", "1.5", "--q", "1.8", "--x", "0.7", "--y", "0.6"]
@@ -225,6 +237,14 @@ class TestCommands:
         assert res.exit_code == 0
         rep = json.loads(res.output)
         assert len(rep["rows"]) == 2
+
+    def test_closure_top_of_range(self, runner):
+        res = runner.invoke(
+            main, ["closure", "--p", "64", "--s", "1,0.5", "--samples", "4"]
+        )
+        assert res.exit_code == 0
+        rows = json.loads(res.output)["rows"]
+        assert [row["verdict_of_target"] for row in rows] == ["ExtremeIsometry", "NotExtreme"]
 
     def test_closedness(self, runner):
         res = runner.invoke(
