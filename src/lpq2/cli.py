@@ -437,8 +437,10 @@ def cmd_ineq(kind, p, q, r_max, x1p, xs, ys, sign, config_path, seed,
 @click.option("--q", required=True, type=float, help="Second tensor factor exponent.")
 @click.option("--x", "x1", required=True, type=float, help="First coordinate of the domain witness.")
 @click.option("--y", "y1", required=True, type=float, help="First coordinate of the codomain witness.")
-@click.option("--samples", type=int, default=256, help="Sampled extreme contractions.")
-@click.option("--net-points", type=int, default=2000, help="Unit-norm net size.")
+@click.option("--samples", type=click.IntRange(min=0), default=256,
+              help="Sampled extreme contractions.")
+@click.option("--net-points", type=click.IntRange(min=0), default=2000,
+              help="Unit-norm net size.")
 @click.option("--net-radius", type=float, default=0.05)
 @common_options
 def cmd_mip(p, q, x1, y1, samples, net_points, net_radius, config_path, seed,
@@ -491,7 +493,7 @@ def cmd_mip(p, q, x1, y1, samples, net_points, net_radius, config_path, seed,
 @main.command("closure")
 @click.option("--p", required=True, type=float, help="Common exponent of both spaces.")
 @click.option("--s", "s_list", required=True, type=str, help="Comma-separated diagonal values.")
-@click.option("--samples", type=int, default=200)
+@click.option("--samples", type=click.IntRange(min=1), default=200)
 @common_options
 def cmd_closure(p, s_list, samples, config_path, seed, output_format, output_path):
     """Distances from diagonal operators to sampled extreme contractions."""
@@ -521,7 +523,7 @@ def cmd_closure(p, s_list, samples, config_path, seed, output_format, output_pat
 @main.command("closedness")
 @click.option("--p", required=True, type=float)
 @click.option("--q", required=True, type=float)
-@click.option("--sequences", type=int, default=50)
+@click.option("--sequences", type=click.IntRange(min=1), default=50)
 @common_options
 def cmd_closedness(p, q, sequences, config_path, seed, output_format, output_path):
     """Classify limits of convergent sequences of extreme contractions."""

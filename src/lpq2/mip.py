@@ -32,7 +32,7 @@ from .classify import (
     settled_families,
 )
 from .core import Exponent, LpVector, as_exponent
-from .opnorm import Operator2x2, norm_value
+from .opnorm import Operator2x2, min_distance, norm_value
 from .segment import extremal_scale, pinned_operator
 
 FAILS_MIP = "FailsMIP"
@@ -162,6 +162,10 @@ def density_probe(
     classified-extreme net point comes within gap_threshold of the target.
     """
     pe, qe = as_exponent(p), as_exponent(q)
+    if n_samples < 0:
+        raise ValueError(f"n_samples must be nonnegative, got {n_samples}")
+    if net_points < 0:
+        raise ValueError(f"net_points must be nonnegative, got {net_points}")
     if mip_verdict(pe, qe) != FAILS_MIP:
         raise ValueError(
             f"density_probe needs a FailsMIP pair, got ({pe.value:g}, {qe.value:g})"
@@ -179,11 +183,11 @@ def density_probe(
     target = pinned_operator(x, y, 0.0)
     rng = np.random.default_rng(seed)
     extremes = _sample_extremes(dom, cod, n_samples, rng, family_grid)
-    min_dist = math.inf
-    for E in extremes:
-        d = norm_value(E - target)
-        if d < min_dist:
-            min_dist = d
+    if not extremes:
+        raise ValueError(
+            f"no extremes to sample: n_samples={n_samples}, family_grid={family_grid}"
+        )
+    min_dist = min_distance(extremes, target)
 
     hits = 0
     max_net = 0.0
@@ -252,6 +256,8 @@ def closure_probe(
     the equal-exponent space; purely observational (whether the diagonal
     operators with |s| < 1 lie in the closure is not settled)."""
     pe = as_exponent(p)
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     if pe.is_two:
         raise ValueError("closure_probe targets the equal-exponent spaces away from 2")
     rng = np.random.default_rng(seed)
@@ -261,8 +267,8 @@ def closure_probe(
     report = ClosureReport(p=pe.value, s_values=[float(s) for s in s_values])
     for s in report.s_values:
         target = Operator2x2(1.0, 0.0, 0.0, s, pe, pe)
-        da = min(norm_value(E - target) for E in type_a)
-        db = min(norm_value(E - target) for E in family)
+        da = min_distance(type_a, target)
+        db = min_distance(family, target)
         nv = norm_value(target)
         verdict = classify(target.scaled(1.0 / nv)).verdict if nv > 0 else "degenerate"
         report.rows.append(
@@ -308,6 +314,8 @@ def closedness_check(
     be extreme.
     """
     pe, qe = as_exponent(p), as_exponent(q)
+    if n_sequences < 1:
+        raise ValueError(f"n_sequences must be at least 1, got {n_sequences}")
     region = region_of(pe, qe)
     if region == REGION_IV:
         raise ValueError("the equal-exponent region is the known exception; rejected")

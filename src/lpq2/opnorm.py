@@ -11,6 +11,7 @@ happens inside the optimizer.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -22,6 +23,16 @@ DEFAULT_SCAN = 4096
 DEFAULT_TOL_ATTAIN = 1e-9
 DEFAULT_DEDUPE = 1e-7
 INDEPENDENT_DET_TOL = 1e-8
+_NORM_SCAN = 1024  # grid of norm_value, which min_distance screens with
+
+# min_distance's screen: it scans every _SCREEN_STRIDE-th point of the
+# norm_value grid, _SCREEN_CHUNK operators at a time (temporaries of about
+# 150 kB), and stops refining at the first bound above the running minimum
+# by more than the relative _SCREEN_SLACK. The slack absorbs a last-ulp
+# difference between array loops over one row and over many.
+_SCREEN_STRIDE = 8
+_SCREEN_CHUNK = 128
+_SCREEN_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -138,6 +149,7 @@ def _theta_grid(n: int) -> np.ndarray:
 
     For large p the sphere arc near an axis collapses into a microscopic
     theta range, so uniform sampling alone can miss a peak hiding there.
+    The array is shared by every caller, so it is read-only.
     """
     base = np.linspace(0.0, math.pi, n, endpoint=False)
     offs = np.concatenate([10.0 ** np.arange(-15.0, -2.9, 0.5), [0.0]])
@@ -145,22 +157,57 @@ def _theta_grid(n: int) -> np.ndarray:
     extra = np.concatenate([a + offs for a in anchors] + [a - offs for a in anchors])
     grid = np.concatenate([base, extra])
     grid = grid[(grid >= 0.0) & (grid < math.pi)]
-    return np.unique(grid)
+    grid = np.unique(grid)
+    grid.setflags(write=False)
+    return grid
 
 
-def _scan_values(T: Operator2x2, thetas: np.ndarray) -> np.ndarray:
-    ep = 2.0 / T.domain.value
-    q = T.codomain.value
+def _sphere_points(thetas: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates of sphere_point at each angle, as two arrays."""
+    ep = 2.0 / p
     c = np.cos(thetas)
     s = np.sin(thetas)
-    v1 = np.sign(c) * np.abs(c) ** ep
-    v2 = np.sign(s) * np.abs(s) ** ep
-    w1 = np.abs(T.a11 * v1 + T.a12 * v2)
-    w2 = np.abs(T.a21 * v1 + T.a22 * v2)
+    return np.sign(c) * np.abs(c) ** ep, np.sign(s) * np.abs(s) ** ep
+
+
+@lru_cache(maxsize=16)
+def _sphere_table(scan: int, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The scan grid `_theta_grid(scan)` and its lp sphere points.
+
+    They depend only on the grid size and p, so every scan at that exponent
+    shares one read-only copy.
+    """
+    thetas = _theta_grid(scan)
+    v1, v2 = _sphere_points(thetas, p)
+    v1.setflags(write=False)
+    v2.setflags(write=False)
+    return thetas, v1, v2
+
+
+def _image_norms(a11, a12, a21, a22, v1: np.ndarray, v2: np.ndarray, q: float) -> np.ndarray:
+    """||A v||_q at each sphere point v = (v1, v2).
+
+    With float entries the result has the shape of v1; with (n, 1) columns
+    of entries it is one row per operator. Each point gets the same
+    arithmetic either way.
+    """
+    w1 = np.abs(a11 * v1 + a12 * v2)
+    w2 = np.abs(a21 * v1 + a22 * v2)
     m = np.maximum(w1, w2)
     lo = np.minimum(w1, w2)
     ratio = np.where(m > 0.0, lo / np.where(m > 0.0, m, 1.0), 0.0)
     return m * (1.0 + ratio ** q) ** (1.0 / q)
+
+
+def _scan_values(T: Operator2x2, thetas: np.ndarray) -> np.ndarray:
+    v1, v2 = _sphere_points(thetas, T.domain.value)
+    return _image_norms(*T.entries(), v1, v2, T.codomain.value)
+
+
+def _grid_scan(T: Operator2x2, scan: int) -> tuple[np.ndarray, np.ndarray]:
+    """The grid `_theta_grid(scan)` and ||T v||_q at each of its sphere points."""
+    thetas, v1, v2 = _sphere_table(scan, T.domain.value)
+    return thetas, _image_norms(*T.entries(), v1, v2, T.codomain.value)
 
 
 def _value_at(T: Operator2x2, theta: float) -> float:
@@ -191,10 +238,17 @@ def _theta_at(thetas: np.ndarray, i: int, n: int) -> float:
     return float(thetas[i % n]) + math.pi * (i // n)
 
 
-def norm_value(T: Operator2x2, scan: int = 1024) -> float:
-    """Operator norm only, without maximizer bookkeeping (fast path)."""
-    thetas = _theta_grid(scan)
-    vals = _scan_values(T, thetas)
+def norm_value(T: Operator2x2, scan: int = _NORM_SCAN) -> float:
+    """Operator norm only, without maximizer bookkeeping (fast path).
+
+    Never below the maximum of its grid scan: refinement only raises it.
+    """
+    thetas, vals = _grid_scan(T, scan)
+    return _refined_max(T, thetas, vals)
+
+
+def _refined_max(T: Operator2x2, thetas: np.ndarray, vals: np.ndarray) -> float:
+    """The scan maximum, raised by a golden refinement of each peak's bracket."""
     gmax = float(vals.max())
     if gmax == 0.0:
         return 0.0
@@ -248,8 +302,7 @@ def op_norm(
     Directions within `dedupe` radians are merged; values within
     `tol_attain` of the maximum count as attaining.
     """
-    thetas = _theta_grid(scan)
-    vals = _scan_values(T, thetas)
+    thetas, vals = _grid_scan(T, scan)
     gmax = float(vals.max())
     if gmax == 0.0:
         return NormCertificate(0.0, [], False)
@@ -322,7 +375,51 @@ def contraction_bound(tol: float) -> float:
 
 
 def is_contraction(T: Operator2x2, tol: float = 1e-9) -> bool:
-    """True when the induced norm does not exceed 1 + tol (contraction_bound)."""
+    """True when the induced norm does not exceed 1 + tol (contraction_bound).
+
+    Equal to `norm_value(T) <= contraction_bound(tol)`; a scan maximum
+    already above the bound decides without the refinement, which can only
+    raise it.
+    """
     if tol < 0.0:
         raise ValueError("tolerance must be nonnegative")
-    return norm_value(T) <= contraction_bound(tol)
+    bound = contraction_bound(tol)
+    thetas, vals = _grid_scan(T, _NORM_SCAN)
+    if vals.max() > bound:
+        return False
+    return _refined_max(T, thetas, vals) <= bound
+
+
+def _screen_bounds(diffs: np.ndarray, p: float, q: float) -> np.ndarray:
+    """For each row of entries, the maximum of its image norms on every
+    _SCREEN_STRIDE-th point of the norm_value grid: a lower bound on its
+    norm_value, since that grid's maximum is one."""
+    _, v1, v2 = _sphere_table(_NORM_SCAN, p)
+    v1, v2 = v1[::_SCREEN_STRIDE], v2[::_SCREEN_STRIDE]
+    return np.concatenate([
+        _image_norms(*diffs[i:i + _SCREEN_CHUNK].T[..., None], v1, v2, q).max(axis=1)
+        for i in range(0, len(diffs), _SCREEN_CHUNK)
+    ])
+
+
+def min_distance(ops: Sequence[Operator2x2], target: Operator2x2) -> float:
+    """min(norm_value(E - target) for E in ops), bit for bit.
+
+    One array scan bounds every distance from below (`_screen_bounds`);
+    norm_value then runs in ascending order of bound and stops at the first
+    bound that exceeds the running minimum by more than _SCREEN_SLACK, since
+    no operator from there on can be closer.
+    """
+    if not ops:
+        raise ValueError("min_distance needs at least one operator")
+    p, q = target.domain.value, target.codomain.value
+    if any(E.domain.value != p or E.codomain.value != q for E in ops):
+        raise ValueError("operators act between different spaces")
+    diffs = np.array([E.entries() for E in ops]) - np.array(target.entries())
+    bounds = _screen_bounds(diffs, p, q)
+    best = math.inf
+    for i in np.argsort(bounds, kind="stable"):
+        if bounds[i] > best * (1.0 + _SCREEN_SLACK):
+            break
+        best = min(best, norm_value(ops[i] - target))
+    return best

@@ -9,6 +9,7 @@ extremality constructively, while failure to refute is reported as such
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -185,23 +186,18 @@ def extremality_probe(
     T = T.scaled(1.0 / cert.norm)
     norming = _norming_pairs(T, cert.maximizers)
 
-    directions: list[Operator2x2] = []
-    seg = _segment_direction(T)
-    if seg is not None:
-        directions.append(seg)
+    directions: list[Operator2x2 | None] = [_segment_direction(T)]
     for k in range(4):
         for sgn in (1.0, -1.0):
             e = [0.0, 0.0, 0.0, 0.0]
             e[k] = sgn
             directions.append(_direction(T, e))
-    rng = np.random.default_rng(seed)
-    raw = rng.normal(size=(n_directions, 4))
-    for row in raw:
-        d = _direction(T, row)
-        if d is not None:
-            directions.append(d)
+    raw = np.random.default_rng(seed).normal(size=(n_directions, 4))
+    # The drawn directions are built only as the scan reaches them: most
+    # refutations stop at the first few.
+    drawn = (_direction(T, row) for row in raw)
 
-    for D in directions:
+    for D in itertools.chain(directions, drawn):
         if D is None or not _feasible(T, D, eps_min, tol, norming):
             continue
         lo, hi = eps_min, 1.0

@@ -253,6 +253,24 @@ class TestCommands:
         assert res.exit_code == 0
         assert json.loads(res.output)["non_extreme_limits"] == 0
 
+    @pytest.mark.parametrize(
+        "args,option,least",
+        [
+            (["closure", "--p", "3", "--s", "1,0.5", "--samples", "0"], "--samples", 1),
+            (["closedness", "--p", "3", "--q", "1.5", "--sequences", "-2"], "--sequences", 1),
+            (["mip", "--p", "3", "--q", "1.5", "--x", "0.7", "--y", "0.6",
+              "--samples", "-1", "--net-points", "10"], "--samples", 0),
+            (["mip", "--p", "3", "--q", "1.5", "--x", "0.7", "--y", "0.6",
+              "--samples", "4", "--net-points", "-5"], "--net-points", 0),
+        ],
+        ids=["closure-samples", "closedness-sequences", "mip-samples", "mip-net-points"],
+    )
+    def test_rejects_counts_below_range(self, runner, args, option, least):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2
+        assert f"Invalid value for '{option}'" in res.output
+        assert f"x>={least}" in res.output
+
     def test_output_file(self, runner, tmp_path):
         path = tmp_path / "out.json"
         res = runner.invoke(

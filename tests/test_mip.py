@@ -90,6 +90,18 @@ class TestDensityProbe:
             density_probe(1.5, 1.8, LpVector.from_mass(0.6, dom),
                           LpVector.from_mass(0.6, cod))
 
+    @pytest.mark.parametrize(
+        "counts,name",
+        [({"n_samples": -1}, "n_samples"), ({"net_points": -1}, "net_points"),
+         ({"n_samples": 0, "family_grid": 0}, "family_grid")],
+    )
+    def test_rejects_bad_counts(self, counts, name):
+        # The dual (2, 1.5) has no extremes beyond its sampled families.
+        dom, cod = dual_space(2, 3)
+        with pytest.raises(ValueError, match=name):
+            density_probe(2, 3, LpVector.from_mass(0.6, dom),
+                          LpVector.from_mass(0.6, cod), **counts)
+
     def test_sampled_extremes_are_extreme(self):
         rng = np.random.default_rng(3)
         dom, cod = dual_space(2, 4)
@@ -148,6 +160,10 @@ class TestClosureProbe:
         with pytest.raises(ValueError):
             closure_probe(2, [0.5])
 
+    def test_rejects_no_samples(self):
+        with pytest.raises(ValueError, match="n_samples"):
+            closure_probe(3, [0.5], n_samples=0)
+
 
 class TestClosednessCheck:
     @pytest.mark.parametrize("pq", [(2.0, 3.0), (3.0, 2.0), (3.0, 1.5)])
@@ -167,6 +183,10 @@ class TestClosednessCheck:
     def test_rejects_open_region(self):
         with pytest.raises(ValueError):
             closedness_check(1.5, 1.8, n_sequences=2)
+
+    def test_rejects_no_sequences(self):
+        with pytest.raises(ValueError, match="n_sequences"):
+            closedness_check(3.0, 1.5, n_sequences=0)
 
     def test_hilbert_allowed(self):
         rep = closedness_check(2.0, 2.0, n_sequences=4, seed=5)

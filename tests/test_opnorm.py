@@ -1,12 +1,21 @@
 import numpy as np
 import pytest
 
-from lpq2.core import LpVector
+from lpq2.core import Exponent, LpVector
+from lpq2 import opnorm
 from lpq2.opnorm import (
     Operator2x2,
+    _grid_scan,
+    _image_norms,
+    _scan_values,
+    _screen_bounds,
+    _sphere_table,
+    _theta_grid,
     adjoint,
     apply,
+    contraction_bound,
     is_contraction,
+    min_distance,
     norm_value,
     op_norm,
 )
@@ -239,3 +248,121 @@ class TestIsContraction:
     def test_rejects_negative_tol(self):
         with pytest.raises(ValueError):
             is_contraction(Operator2x2(1, 0, 0, 1, 2, 2), -1.0)
+
+    def test_scan_shortcut_matches_refined_norm(self):
+        # A scan maximum above the bound decides without refinement; both
+        # branches must give the refined norm's answer.
+        rng = np.random.default_rng(21)
+        shortcut = refined = 0
+        # Diagonal operators with p <= q attain their norm at e1, a grid
+        # point, so their scan maximum is the norm itself.
+        ops = [random_operator(rng) for _ in range(8)]
+        ops += [Operator2x2(1.0, 0.0, 0.0, float(rng.uniform(-0.9, 0.9)), p, 2.0 * p)
+                for p in (1.2, 1.5, 2.0, 3.0)]
+        for T in ops:
+            T = T.scaled(1.0 / norm_value(T))
+            for rel in (1e-12, 1e-9, 1e-6, 1e-4):
+                for S in (T.scaled(1.0 + rel), T.scaled(1.0 - rel)):
+                    for tol in (0.0, 1e-9):
+                        bound = contraction_bound(tol)
+                        assert is_contraction(S, tol) == (norm_value(S) <= bound)
+                        if _grid_scan(S, 1024)[1].max() > bound:
+                            shortcut += 1
+                        else:
+                            refined += 1
+        assert shortcut and refined
+
+
+SCAN_EXPONENTS = (1.05, 1.5, 2.0, 3.0, 64.0)
+
+
+def scan_corpus(rng) -> np.ndarray:
+    """Gaussian rows plus axis-aligned, rank-one and zero operators."""
+    rows = [rng.normal(size=4) for _ in range(12)]
+    rows += [np.eye(4)[k] * s for k in range(4) for s in (1.0, -2.5)]
+    rows += [np.outer(rng.normal(size=2), rng.normal(size=2)).ravel() for _ in range(4)]
+    rows += [np.array([1.0, 0.0, 0.0, 1.0]), np.array([0.0, 3.0, -3.0, 0.0]), np.zeros(4)]
+    return np.array(rows)
+
+
+class TestScanKernel:
+    @pytest.mark.parametrize("p", SCAN_EXPONENTS)
+    def test_batched_rows_equal_single_scans(self, p):
+        rng = np.random.default_rng(int(p * 100))
+        E = scan_corpus(rng)
+        for q in SCAN_EXPONENTS:
+            thetas, v1, v2 = _sphere_table(1024, p)
+            rows = _image_norms(*E.T[..., None], v1, v2, q)
+            for row, e in zip(rows, E):
+                T = Operator2x2(*(float(v) for v in e), p, q)
+                assert np.array_equal(row, _scan_values(T, thetas))
+
+    def test_sphere_table_is_read_only(self):
+        thetas, v1, v2 = _sphere_table(1024, 3.0)
+        assert thetas is _theta_grid(1024)
+        for a in (thetas, v1, v2):
+            with pytest.raises(ValueError):
+                a[0] = 0.5
+
+    @pytest.mark.parametrize("p", SCAN_EXPONENTS)
+    def test_screen_bounds_stay_under_norm_value_grid(self, p):
+        # The bound of each row is at most the maximum of the very grid that
+        # norm_value scans, so it never exceeds norm_value.
+        E = scan_corpus(np.random.default_rng(7))
+        for q in SCAN_EXPONENTS:
+            bounds = _screen_bounds(E, p, q)
+            for b, e in zip(bounds, E):
+                T = Operator2x2(*(float(v) for v in e), p, q)
+                assert b <= _grid_scan(T, 1024)[1].max()
+                assert b <= norm_value(T)
+
+
+def plain_min_distance(ops, target) -> float:
+    return min(norm_value(E - target) for E in ops)
+
+
+class TestMinDistance:
+    @pytest.mark.parametrize("pq", [(2.0, 3.0), (3.0, 2.0), (3.0, 3.0), (3.0, 1.5)])
+    def test_equals_plain_loop_on_family_sets(self, pq):
+        from lpq2.mip import _family_members
+
+        p, q = pq
+        ops = _family_members(Exponent(p), Exponent(q), 16)
+        rng = np.random.default_rng(int(10 * p + q))
+        for _ in range(2):
+            x = LpVector.from_mass(float(rng.uniform(0.55, 0.9)), p)
+            y = LpVector.from_mass(float(rng.uniform(0.55, 0.9)), q)
+            for target in (pinned_operator(x, y, 0.0), random_operator(rng, p, q)):
+                assert min_distance(ops, target) == plain_min_distance(ops, target)
+
+    def test_ties_target_member_and_single_operator(self):
+        rng = np.random.default_rng(4)
+        ops = [random_operator(rng, 3.0, 1.5) for _ in range(5)]
+        target = random_operator(rng, 3.0, 1.5)
+        doubled = ops + ops[::-1]
+        assert min_distance(doubled, target) == plain_min_distance(doubled, target)
+        assert min_distance(ops + [target], target) == 0.0
+        assert min_distance(ops[:1], target) == norm_value(ops[0] - target)
+
+    def test_bounds_within_slack_keep_the_minimiser(self, monkeypatch):
+        # If the array scan read a tenth of the slack high (a pow loop that
+        # rounds differently), a nearer operator whose bound lands just above
+        # the running minimum must still be refined.
+        Y = Operator2x2(1.0, 0.0, 0.0, 1.0, 3.0, 3.0)  # constant on the sphere
+        X = Operator2x2(0.6, 0.8, -0.8, 0.6, 3.0, 3.0)
+        X = X.scaled(norm_value(Y) * (1.0 + 5e-14) / norm_value(X))
+        zero = Operator2x2(0.0, 0.0, 0.0, 0.0, 3.0, 3.0)
+        assert norm_value(Y) < norm_value(X)
+        screen = opnorm._screen_bounds
+        high = lambda *args: screen(*args) * (1.0 + opnorm._SCREEN_SLACK / 10)
+        monkeypatch.setattr(opnorm, "_screen_bounds", high)
+        bounds = high(np.array([X.entries(), Y.entries()]), 3.0, 3.0)
+        assert bounds[0] < bounds[1]  # X is refined first
+        assert min_distance([X, Y], zero) == norm_value(Y)
+
+    def test_rejects_empty_and_mixed_sets(self):
+        target = Operator2x2(1.0, 0.0, 0.0, 1.0, 3.0, 3.0)
+        with pytest.raises(ValueError):
+            min_distance([], target)
+        with pytest.raises(ValueError):
+            min_distance([Operator2x2(1.0, 0.0, 0.0, 1.0, 3.0, 2.0)], target)
